@@ -129,9 +129,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def _cmd_optimize_acc(args) -> int:
     ensemble = load_ensemble(args.ensemble, subnormalized=args.subnormalized)
-    result = accessible_info_opt(
-        ensemble, _optimizer_config(args), threads=args.threads
-    )
+    result = accessible_info_opt(ensemble, _optimizer_config(args))
     out_path = str(Path(args.ensemble).with_suffix(".optimal-povm.json"))
     try:
         save_povm(out_path, result.argmax)
@@ -147,9 +145,7 @@ def _cmd_optimize_acc(args) -> int:
 
 def _cmd_optimize_power(args) -> int:
     povm = load_povm(args.povm)
-    result = informational_power_opt(
-        povm, _optimizer_config(args), threads=args.threads
-    )
+    result = informational_power_opt(povm, _optimizer_config(args))
     out_path = str(Path(args.povm).with_suffix(".optimal-ensemble.json"))
     try:
         save_ensemble(out_path, result.argmax)
@@ -227,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=4)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--threads", type=int, default=_default_threads())
         p.set_defaults(func=setter)
 
     p = sub.add_parser("mc-scrooge", help="Monte Carlo check of the min-power curve")

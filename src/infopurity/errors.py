@@ -10,7 +10,7 @@ class NonHermitianError(InfopurityError, ValueError):
 
 
 class NoConvergenceError(InfopurityError, RuntimeError):
-    """Iterative eigensolver exceeded its sweep cap."""
+    """The LAPACK eigensolver failed to converge."""
 
 
 class ZeroTraceError(InfopurityError, ValueError):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +177,7 @@ def _see_saw_accessible(rhos, weights, start_vecs, max_iters, tol):
 
 
 def accessible_info_opt(
-    ensemble: Ensemble, cfg: OptimizerConfig | None = None, *, threads: int = 1
+    ensemble: Ensemble, cfg: OptimizerConfig | None = None
 ) -> InfoResult:
     """Maximize the mutual information of an ensemble over POVMs.
 
@@ -207,12 +206,7 @@ def accessible_info_opt(
             start = HaarSampler(n, cfg.seed, stream_id=r).states(k_out)
         return _see_saw_accessible(rhos, weights, start, cfg.max_iters, cfg.tol)
 
-    indices = range(cfg.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, indices))
-    else:
-        outcomes = [run_restart(r) for r in indices]
+    outcomes = [run_restart(r) for r in range(cfg.restarts)]
 
     best = None
     iterations = 0
@@ -316,7 +310,7 @@ def _power_restart(povm_stack, states, max_iters, tol):
 
 
 def informational_power_opt(
-    povm: Povm, cfg: OptimizerConfig | None = None, *, threads: int = 1
+    povm: Povm, cfg: OptimizerConfig | None = None
 ) -> InfoResult:
     """Maximize the mutual information of a POVM over input ensembles.
 
@@ -324,7 +318,9 @@ def informational_power_opt(
     seeds them with the leading eigenvectors of (a deterministic spread
     of) the POVM elements, further restarts with Haar states.  For each
     alphabet the prior is globally optimized by the capacity fixed point,
-    then the states follow the information gradient.
+    then the states follow the information gradient.  Restarts run one
+    after another in the calling thread: the sweeps hold the interpreter
+    lock, so worker threads would not speed them up.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -339,10 +335,9 @@ def informational_power_opt(
         picks = np.unique(np.linspace(0, len(povm) - 1, k_cand).astype(int))
         vecs = []
         for idx in picks:
-            spec, basis = eig_hermitian(povm.elements[int(idx)])
-            order = np.argsort(-spec.values, kind="stable")
-            for col in order:
-                vecs.append(basis[:, int(col)])
+            _, basis = eig_hermitian(povm.elements[int(idx)])
+            for col in basis.T:
+                vecs.append(col)
                 if len(vecs) >= k_cand:
                     return np.array(vecs)
         while len(vecs) < k_cand:
@@ -356,12 +351,7 @@ def informational_power_opt(
             start = HaarSampler(n, cfg.seed, stream_id=1000 + r).states(k_cand)
         return _power_restart(stack, start, cfg.max_iters, cfg.tol)
 
-    indices = range(cfg.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, indices))
-    else:
-        outcomes = [run_restart(r) for r in indices]
+    outcomes = [run_restart(r) for r in range(cfg.restarts)]
 
     best = None
     iterations = 0
@@ -386,8 +376,6 @@ def informational_power_opt(
 def symmetric_upper_bound(
     ensemble: Ensemble,
     phi_search: OptimizerConfig | None = None,
-    *,
-    threads: int = 1,
 ) -> float:
     """Single-state upper bound on the accessible information:
     ln n - n min_phi sum_x w_x eta(<phi| sigma_x |phi>), in nats.
@@ -442,12 +430,7 @@ def symmetric_upper_bound(
     if fill:
         starts += list(HaarSampler(n, cfg.seed, stream_id=2000).states(fill))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            minima = list(pool.map(descend, starts))
-    else:
-        minima = [descend(phi) for phi in starts]
-    return math.log(n) - n * min(minima)
+    return math.log(n) - n * min(descend(phi) for phi in starts)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ def _as_square_complex(entries) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError("dimension must be >= 1")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has a non-finite entry")
     return m
 
 
@@ -110,76 +112,33 @@ class Spectrum:
         return f"Spectrum({self.values.tolist()}, normalized={self.normalized})"
 
 
-def eig_hermitian(
-    x: HermitianOperator | np.ndarray,
-    max_sweeps: int = 100,
-) -> tuple[Spectrum, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eig_hermitian(x: HermitianOperator | np.ndarray) -> tuple[Spectrum, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns ``(spectrum, basis)`` with eigenvalues sorted non-increasing
     and ``basis`` unitary such that ``X = basis @ diag(values) @ basis^dag``.
-    Ties between degenerate eigenvalues are broken by a stable sort; the
-    basis inside a degenerate cluster is an arbitrary orthonormal
-    completion.
+    Each basis column carries a canonical phase: its largest-magnitude
+    entry (the first one, among entries equal to it within a relative
+    1e-9) is real and positive, so saved bases do not depend on the LAPACK
+    build.  The basis inside a degenerate cluster is an arbitrary
+    orthonormal completion.
 
-    Raises ``NoConvergenceError`` if the off-diagonal norm has not dropped
-    below roundoff scale after ``max_sweeps`` full sweeps.
+    Raises ``NoConvergenceError`` if LAPACK fails to converge.
     """
     if not isinstance(x, HermitianOperator):
         x = HermitianOperator(x)
-    a = x.matrix.astype(complex).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return Spectrum([a[0, 0].real], normalized=None), v
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    stop = 1e-13 * scale
-    upper = np.triu_indices(n, 1)
-    converged = False
-    for _ in range(max_sweeps):
-        off = float(np.max(np.abs(a[upper])))
-        if off <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= stop * 1e-2:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                # smaller-angle root of t^2 + 2 tau t - 1 = 0
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # column update: A <- A U, with U the (p,q) plane rotation
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * np.conj(phase) * aq
-                a[:, q] = s * phase * ap + c * aq
-                # row update: A <- U^dag A
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-        )
-    evals = np.diag(a).real.copy()
-    order = np.argsort(-evals, kind="stable")
-    return Spectrum(evals[order], normalized=None), v[:, order]
+    try:
+        evals, basis = np.linalg.eigh(x.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
+    evals, basis = evals[::-1], basis[:, ::-1]
+    mag = np.abs(basis)
+    cols = np.arange(basis.shape[1])
+    rows = np.argmax(mag >= mag.max(axis=0) * (1.0 - 1e-9), axis=0)
+    pivots = basis[rows, cols]
+    basis = basis * (pivots.conj() / np.abs(pivots))
+    basis[rows, cols] = np.abs(pivots)  # exactly real, free of phase roundoff
+    return Spectrum(evals, normalized=None), basis
 
 
 class DensityOperator:
@@ -238,6 +197,8 @@ class Ensemble:
         pairs = []
         for k, (w, s) in enumerate(items):
             w = float(w)
+            if not np.isfinite(w):
+                raise ValidationError(f"weight {w!r} is not finite", field=f"items[{k}]")
             if w < 0.0:
                 raise ValidationError(f"weight {w!r} < 0", field=f"items[{k}]")
             if not isinstance(s, DensityOperator):
@@ -275,17 +236,10 @@ class Povm:
     __slots__ = ("dim", "elements", "_stack")
 
     def __init__(self, elements):
-        ops = []
-        for k, e in enumerate(elements):
-            if not isinstance(e, HermitianOperator):
-                e = HermitianOperator(e)
-            spec, _ = eig_hermitian(e)
-            if spec.values[-1] < -TOL_PSD:
-                raise ValidationError(
-                    f"min eigenvalue {spec.values[-1]:.3e} < -1e-9",
-                    field=f"elements[{k}]",
-                )
-            ops.append(e)
+        ops = [
+            e if isinstance(e, HermitianOperator) else HermitianOperator(e)
+            for e in elements
+        ]
         if not ops:
             raise ValidationError("POVM needs at least one element")
         dims = {e.dim for e in ops}
@@ -293,6 +247,14 @@ class Povm:
             raise DimensionMismatchError(f"mixed dimensions {sorted(dims)} in POVM")
         dim = ops[0].dim
         stack = np.stack([e.matrix for e in ops])
+        min_evals = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(min_evals < -TOL_PSD)
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"min eigenvalue {min_evals[k]:.3e} < -1e-9",
+                field=f"elements[{k}]",
+            )
         dev = np.max(np.abs(stack.sum(axis=0) - np.eye(dim)))
         if dev > TOL_COMPLETENESS:
             raise ValidationError(

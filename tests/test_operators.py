@@ -59,12 +59,16 @@ class TestEigHermitian:
         rec = basis @ np.diag(spec.values) @ basis.conj().T
         assert np.max(np.abs(rec - h)) < 1e-9
 
-    def test_sweep_cap_raises(self):
+    def test_lapack_failure_raises(self, monkeypatch):
         from infopurity import NoConvergenceError
 
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(NoConvergenceError):
-            eig_hermitian(h, max_sweeps=0)
+            eig_hermitian(h)
 
     def test_round_trip_1000_random(self):
         rng = np.random.default_rng(99)
@@ -76,6 +80,8 @@ class TestEigHermitian:
             assert np.max(np.abs(rec - h)) < 1e-9
             assert np.max(np.abs(basis @ basis.conj().T - np.eye(n))) < 1e-9
             assert np.all(np.diff(spec.values) <= 1e-12)
+            pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(n)]
+            assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
 
 
 class TestPurity:
@@ -189,6 +195,31 @@ class TestQuantumTypes:
             Povm([basis_projector(2, 0), 0.5 * basis_projector(2, 1)])  # incomplete
         with pytest.raises(ValidationError):
             Povm([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])  # not PSD
+
+    def test_povm_names_first_non_psd_element(self):
+        elements = [np.eye(2, dtype=complex) / 5 for _ in range(5)]
+        elements[3] = np.diag([0.3, -0.1]).astype(complex)
+        elements[4] = np.diag([0.1, 0.5]).astype(complex)
+        with pytest.raises(ValidationError) as err:
+            Povm(elements)
+        assert err.value.field == "elements[3]"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HermitianOperator([[np.nan, 0.0], [0.0, 1.0]]),
+            lambda: DensityOperator([[0.5, np.inf], [np.inf, 0.5]]),
+            lambda: Povm([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])]),
+            lambda: eig_hermitian(np.full((2, 2), np.nan, dtype=complex)),
+            lambda: Ensemble(
+                [(np.nan, basis_projector(2, 0)), (1.0, basis_projector(2, 1))]
+            ),
+        ],
+        ids=["hermitian", "density", "povm", "eig", "ensemble-weight"],
+    )
+    def test_rejects_non_finite(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
 
 class TestBornJoint:
