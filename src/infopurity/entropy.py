@@ -18,7 +18,7 @@ from .errors import (
     NotNormalizedError,
     ValidationError,
 )
-from .operators import DensityOperator, JointDistribution, Spectrum
+from .operators import DensityOperator, JointDistribution, Spectrum, _check_epsilon
 
 # adjacent eigenvalues closer than this (relative) gap are merged into one
 # confluent node and handled by derivatives
@@ -38,6 +38,8 @@ def _check_probability_vector(p, name: str = "p") -> np.ndarray:
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.size == 0:
         raise NotNormalizedError(f"{name} is empty")
+    if not np.isfinite(v).all():
+        raise NotNormalizedError(f"{name} has a non-finite entry")
     if v.min() < -1e-12:
         raise NotNormalizedError(f"{name} has negative entry {v.min():.3e}")
     v = np.maximum(v, 0.0)
@@ -80,6 +82,11 @@ def mutual_information(joint) -> float:
         p = joint.probs
     else:
         p = JointDistribution(joint).probs
+    return _mutual_info(p)
+
+
+def _mutual_info(p: np.ndarray) -> float:
+    # unvalidated kernel, shared with the see-saw's inner loop
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     mask = p > 0.0
@@ -266,9 +273,7 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"dimension n={n!r} must be an integer >= 2")
-    if not (-1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [0, 1]")
-    epsilon = min(max(epsilon, 0.0), 1.0)
+    epsilon = _check_epsilon(epsilon)
     if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
         q = _depolarized_series(n, epsilon)
     else:

@@ -69,26 +69,49 @@ def encode_povm(povm: Povm) -> str:
     return _dump({"dim": povm.dim, "elements": elements}) + "\n"
 
 
-def _require(data: dict, key: str, where: str):
+def _require(data, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected an object, got {type(data).__name__}", field=where)
     if key not in data:
         raise ValidationError(f"missing key {key!r}", field=where)
     return data[key]
+
+
+def _is_number(x) -> bool:
+    # JSON true/false decode as bool, which Python counts as int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _parse_object(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("top-level value must be an object")
+    return data
+
+
+def _decode_dim(data: dict, where: str) -> int:
+    dim = _require(data, "dim", where)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValidationError(f"dim {dim!r} must be a positive integer", field="dim")
+    return dim
 
 
 def _decode_matrix(entry: dict, dim: int, where: str) -> np.ndarray:
     re = _require(entry, "matrix_re", where)
     im = _require(entry, "matrix_im", where)
     for name, part in (("matrix_re", re), ("matrix_im", im)):
-        if len(part) != dim:
-            raise ValidationError(
-                f"{name} has {len(part)} rows, expected {dim}", field=where
-            )
+        if not isinstance(part, list) or len(part) != dim:
+            raise ValidationError(f"{name} must be a list of {dim} rows", field=where)
         for i, row in enumerate(part):
-            if len(row) != dim:
+            if not isinstance(row, list) or len(row) != dim:
                 raise ValidationError(
-                    f"{name} row {i} has {len(row)} entries, expected {dim}",
-                    field=where,
+                    f"{name} row {i} must be a list of {dim} entries", field=where
                 )
+            if not all(_is_number(x) for x in row):
+                raise ValidationError(f"{name} row {i} has a non-numeric entry", field=where)
     return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 
@@ -99,15 +122,8 @@ def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
     matrices rho_x; weights are taken from their traces and no explicit
     weight field is expected.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("top-level value must be an object")
-    dim = _require(data, "dim", "ensemble")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"dim {dim!r} must be a positive integer", field="dim")
+    data = _parse_object(text)
+    dim = _decode_dim(data, "ensemble")
     states = _require(data, "states", "ensemble")
     if not isinstance(states, list) or not states:
         raise ValidationError("states must be a non-empty list", field="states")
@@ -123,7 +139,9 @@ def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
                 )
             mat = mat / weight
         else:
-            weight = float(_require(entry, "weight", where))
+            weight = _require(entry, "weight", where)
+            if not _is_number(weight):
+                raise ValidationError(f"weight {weight!r} is not a number", field=where)
         try:
             items.append((weight, DensityOperator(mat)))
         except ValidationError as exc:
@@ -135,15 +153,8 @@ def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
 
 
 def decode_povm(text: str) -> Povm:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("top-level value must be an object")
-    dim = _require(data, "dim", "povm")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"dim {dim!r} must be a positive integer", field="dim")
+    data = _parse_object(text)
+    dim = _decode_dim(data, "povm")
     elements = _require(data, "elements", "povm")
     if not isinstance(elements, list) or not elements:
         raise ValidationError("elements must be a non-empty list", field="elements")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonOutOfRangeError, ValidationError
+from .errors import ValidationError
+from .operators import _check_epsilon
 
 # samples per shard; part of the fixed stream layout
 SHARD_SIZE = 1 << 14
@@ -113,9 +114,7 @@ def mc_min_power_estimate(
     """
     if n < 2:
         raise ValidationError(f"dimension n={n!r} must be >= 2")
-    if not (-1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [0, 1]")
-    epsilon = min(max(epsilon, 0.0), 1.0)
+    epsilon = _check_epsilon(epsilon)
     if samples < 1000:
         raise ValidationError(f"samples {samples} < 1000")
     if sampler is None:
@@ -150,68 +149,3 @@ def mc_min_power_estimate(
     estimate = math.log(n) - n * mean
     std_error = n * math.sqrt(sq / (total - 1) / total)
     return McEstimate(mean=estimate, std_error=std_error, samples=total)
-
-
-@dataclass(frozen=True)
-class TightnessReport:
-    """Gap between the optimized accessible information and its subentropy
-    lower bound for a depolarized Haar ensemble."""
-
-    dim: int
-    epsilon: float
-    ensemble_size: int
-    jrw_value: float
-    optimized_value: float
-    gap: float
-    converged: bool
-
-
-def depolarized_haar_ensemble(
-    n: int, epsilon: float, size: int, seed: int = 0, stream_id: int = 0
-):
-    """Uniform-weight ensemble of ``size`` depolarized Haar pure states."""
-    from .operators import DensityOperator, Ensemble
-
-    lo = -1.0 / (n - 1)
-    if not (lo - 1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [{lo}, 1]")
-    phis = HaarSampler(n, seed, stream_id).states(size)
-    eye = np.eye(n)
-    states = []
-    for phi in phis:
-        proj = np.outer(phi, phi.conj())
-        states.append(DensityOperator(epsilon * proj + (1.0 - epsilon) / n * eye))
-    return Ensemble([(1.0 / size, s) for s in states])
-
-
-def jrw_tightness_probe(
-    n: int,
-    epsilon: float,
-    ensemble_size: int,
-    cfg=None,
-) -> TightnessReport:
-    """Probe tightness of the subentropy lower bound on depolarized Haar
-    ensembles: build {D_eps(phi_x)} from Haar samples, optimize the
-    accessible information and report the gap to the bound.  The gap is
-    expected to shrink as the ensemble grows."""
-    if n not in (2, 3):
-        raise ValidationError(f"probe restricted to n in (2, 3), got {n}")
-    if not (-1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [0, 1]")
-    epsilon = min(max(epsilon, 0.0), 1.0)
-    from .infomeasures import OptimizerConfig, accessible_info_opt, jrw_lower
-
-    if cfg is None:
-        cfg = OptimizerConfig()
-    ensemble = depolarized_haar_ensemble(n, epsilon, ensemble_size, seed=cfg.seed)
-    bound = jrw_lower(ensemble)
-    result = accessible_info_opt(ensemble, cfg)
-    return TightnessReport(
-        dim=n,
-        epsilon=epsilon,
-        ensemble_size=ensemble_size,
-        jrw_value=bound,
-        optimized_value=result.value,
-        gap=result.value - bound,
-        converged=result.converged,
-    )

@@ -25,7 +25,10 @@ TOL_COMPLETENESS = 1e-8
 
 
 def _as_square_complex(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+    try:
+        m = np.array(entries, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix entries are not numbers: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
@@ -33,6 +36,14 @@ def _as_square_complex(entries) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix has a non-finite entry")
     return m
+
+
+def _check_epsilon(epsilon: float, lo: float = 0.0) -> float:
+    """Depolarization strength clamped to [lo, 1]; raises when it lies
+    more than 1e-12 outside."""
+    if not (lo - 1e-12 <= epsilon <= 1.0 + 1e-12):
+        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [{lo:g}, 1]")
+    return min(max(epsilon, lo), 1.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -85,6 +96,8 @@ class Spectrum:
         v = np.sort(np.asarray(values, dtype=float))[::-1].copy()
         if v.ndim != 1 or v.size < 1:
             raise ValidationError("spectrum must be a non-empty 1d vector")
+        if not np.isfinite(v).all():
+            raise ValidationError("spectrum has a non-finite entry")
         if normalized is None:
             normalized = bool(
                 abs(v.sum() - 1.0) <= TOL_TRACE and v[-1] >= -TOL_PSD
@@ -284,6 +297,8 @@ class JointDistribution:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 2:
             raise ValidationError("joint distribution must be a 2d matrix")
+        if not np.isfinite(p).all():
+            raise ValidationError("joint distribution has a non-finite entry")
         if p.min() < -1e-12:
             raise ValidationError(f"negative entry {p.min():.3e} in joint distribution")
         p = np.maximum(p, 0.0)
@@ -338,11 +353,7 @@ def depolarize(x, epsilon: float) -> HermitianOperator:
     """eps * X + (1 - eps) * Tr[X] * I / n, positive for -1/(n-1) <= eps <= 1."""
     op = x if isinstance(x, HermitianOperator) else HermitianOperator(x)
     n = op.dim
-    lo = -1.0 / (n - 1) if n > 1 else 0.0
-    if not (lo - 1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {epsilon!r} outside [{lo}, 1] for dimension {n}"
-        )
+    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1) if n > 1 else 0.0)
     out = epsilon * op.matrix + (1.0 - epsilon) * op.trace * np.eye(n) / n
     return HermitianOperator(out)
 

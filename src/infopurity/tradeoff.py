@@ -33,7 +33,14 @@ from .errors import (
     ValidationError,
 )
 from .montecarlo import HaarSampler
-from .operators import DensityOperator, Ensemble, HermitianOperator, Povm, eig_hermitian
+from .operators import (
+    DensityOperator,
+    Ensemble,
+    HermitianOperator,
+    Povm,
+    _check_epsilon,
+    eig_hermitian,
+)
 
 
 def harmonic_tail(k: int) -> float:
@@ -291,10 +298,7 @@ def depolarized_scrooge_povm(
     n = _check_dim(n)
     if count < n * n:
         raise CountTooSmallError(f"count {count} < n^2 = {n * n}")
-    lo = -1.0 / (n - 1)
-    if not (lo - 1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [{lo}, 1]")
-    epsilon = min(max(epsilon, lo), 1.0)
+    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1))
 
     phis = HaarSampler(n, seed).states(count)
     projectors = np.einsum("yi,yj->yij", phis, phis.conj())
@@ -307,6 +311,20 @@ def depolarized_scrooge_povm(
     inv_sqrt = (basis * (1.0 / np.sqrt(spec.values))) @ basis.conj().T
     symmetrized = np.einsum("ab,ybc,cd->yad", inv_sqrt, elements, inv_sqrt)
     return Povm([HermitianOperator(e) for e in symmetrized])
+
+
+def depolarized_haar_ensemble(
+    n: int, epsilon: float, size: int, seed: int = 0, stream_id: int = 0
+) -> Ensemble:
+    """Uniform-weight ensemble of ``size`` depolarized Haar pure states."""
+    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1))
+    phis = HaarSampler(n, seed, stream_id).states(size)
+    eye = np.eye(n)
+    states = []
+    for phi in phis:
+        proj = np.outer(phi, phi.conj())
+        states.append(DensityOperator(epsilon * proj + (1.0 - epsilon) / n * eye))
+    return Ensemble([(1.0 / size, s) for s in states])
 
 
 def _eta_antiderivative(m: int, x: float) -> float:

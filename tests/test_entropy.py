@@ -56,6 +56,10 @@ class TestShannon:
         with pytest.raises(NotNormalizedError):
             shannon_entropy([1.2, -0.2])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotNormalizedError):
+            shannon_entropy([np.nan, 0.5, 0.5])
+
 
 class TestMutualInformation:
     def test_independent(self):

@@ -187,6 +187,21 @@ class TestBoundsCommand:
         assert main(["bounds", "--ensemble", str(path)]) == 3
         assert "states[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state, dim",
+        [
+            ('{"weight": "abc", "matrix_re": [[1, 0], [0, 0]], "matrix_im": [[0, 0], [0, 0]]}', "2"),
+            ('{"weight": 1.0, "matrix_re": [[1, "x"], [0, 0]], "matrix_im": [[0, 0], [0, 0]]}', "2"),
+            ("5", "2"),
+            ('{"weight": 1.0, "matrix_re": [[1]], "matrix_im": [[0]]}', "true"),
+        ],
+        ids=["string-weight", "string-entry", "state-not-object", "bool-dim"],
+    )
+    def test_malformed_fields_exit_code(self, tmp_path, state, dim):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": {dim}, "states": [{state}]}}')
+        assert main(["bounds", "--ensemble", str(path)]) == 3
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["bounds", "--ensemble", str(tmp_path / "missing.json")]) == 1
 

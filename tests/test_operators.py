@@ -7,6 +7,7 @@ from infopurity import (
     Ensemble,
     EpsilonOutOfRangeError,
     HermitianOperator,
+    JointDistribution,
     NonHermitianError,
     Povm,
     Spectrum,
@@ -214,8 +215,14 @@ class TestQuantumTypes:
             lambda: Ensemble(
                 [(np.nan, basis_projector(2, 0)), (1.0, basis_projector(2, 1))]
             ),
+            lambda: Spectrum([np.nan, 1.0]),
+            lambda: JointDistribution([[np.nan, 0.5], [0.25, 0.25]]),
+            lambda: HermitianOperator([["a", "b"], ["c", "d"]]),
         ],
-        ids=["hermitian", "density", "povm", "eig", "ensemble-weight"],
+        ids=[
+            "hermitian", "density", "povm", "eig", "ensemble-weight", "spectrum",
+            "joint", "non-numeric",
+        ],
     )
     def test_rejects_non_finite(self, build):
         with pytest.raises(ValidationError):

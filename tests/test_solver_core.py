@@ -1,0 +1,71 @@
+"""Pinned optimizer trajectories and the package's import structure.
+
+The optimizers are deterministic, so their sweep counts, convergence
+flags and values are fixed for a given input.  Pinning them makes any
+change to the shared line search, the restart tie rule or the Haar start
+streams visible, even when the optimum itself would still be reached.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import infopurity
+from infopurity import (
+    accessible_info_opt,
+    depolarized_scrooge_povm,
+    informational_power_opt,
+    optimal_commuting_ensemble,
+    symmetric_upper_bound,
+)
+
+PACKAGE = Path(infopurity.__file__).parent
+
+
+@pytest.mark.parametrize(
+    "n, purity, sweeps, value, sym_value",
+    [
+        (2, 0.7, 57, 0.21608162004978376, 0.21608162004978393),
+        (3, 0.5, 77, 0.40546510810816455, 0.4054651081081645),
+        (4, 0.4, 93, 0.40616215068068195, 0.40616215068068207),
+    ],
+)
+def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
+    ensemble = optimal_commuting_ensemble(n, purity)
+    res = accessible_info_opt(ensemble)
+    assert res.iterations == sweeps
+    assert res.converged is True
+    assert res.value == pytest.approx(value, abs=1e-12)
+    assert symmetric_upper_bound(ensemble) == pytest.approx(sym_value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args, sweeps, value",
+    [
+        ((2, 0.9, 16, 5), 86, 0.19485543121795879),
+        ((2, 0.85, 64, 6), 107, 0.15719915892444683),
+        ((3, 0.9, 27, 7), 172, 0.31147498122236955),
+    ],
+)
+def test_informational_power_trajectory(args, sweeps, value):
+    res = informational_power_opt(depolarized_scrooge_povm(*args))
+    assert res.iterations == sweeps
+    assert res.converged is True
+    assert res.value == pytest.approx(value, abs=1e-12)
+
+
+def test_no_import_inside_functions():
+    # the modules import each other only at the top, so the import graph
+    # is visible at a glance and has no cycle hidden behind a lazy import
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno} in {fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
