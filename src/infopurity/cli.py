@@ -8,21 +8,24 @@ Subcommands:
 * ``optimize-power`` informational-power optimizer on a POVM file
 * ``mc-scrooge``     Monte Carlo check of the minimum-power curve
 
-Exit codes: 0 success, 1 I/O failure, 2 bad arguments, 3 file validation
-failure, 4 optimizer capability limit.  All output is deterministic for
-identical arguments (CSV output is byte-identical).
+Exit codes: 0 success, 1 any ``OSError``, 2 a malformed flag (every
+numeric flag is range-checked before any work starts), 3 a malformed
+input file, 4 optimizer capability limit.  All output is deterministic
+for identical arguments (CSV output is byte-identical).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from .errors import DimensionTooLargeError, InfopurityError, ValidationError
 from .fileio import load_ensemble, load_povm, save_ensemble, save_povm
 from .infomeasures import (
@@ -45,6 +48,12 @@ EXIT_IO = 1
 EXIT_ARGS = 2
 EXIT_VALIDATION = 3
 EXIT_CAPABILITY = 4
+
+# (lo, hi) of every integer flag; a flag a subcommand lacks is skipped
+_INT_FLAGS = {
+    "n": (2, 8), "points": (2, math.inf), "samples": (1000, math.inf),
+    "seed": (0, _checks.SEED_MAX), "restarts": (1, math.inf), "threads": (1, math.inf),
+}
 
 
 def _default_threads() -> int:
@@ -79,24 +88,26 @@ def gnuplot_script(csv_path: str) -> str:
     )
 
 
+def _check_flags(args) -> None:
+    """Raise for the first numeric flag outside its range, with the base
+    InfopurityError, which ``main`` maps to exit 2."""
+    for flag, (lo, hi) in _INT_FLAGS.items():
+        if hasattr(args, flag):
+            _checks.integer(getattr(args, flag), f"--{flag}", lo, hi, InfopurityError)
+    if hasattr(args, "epsilon"):
+        _checks.real(args.epsilon, "--epsilon", 0.0, 1.0, InfopurityError)
+    if hasattr(args, "tol"):
+        _checks.real(args.tol, "--tol", 0.0, _checks.FLOAT_MAX, InfopurityError, lo_open=True)
+
+
 def _cmd_curve(args) -> int:
-    if not (2 <= args.n <= 8):
-        print(f"error: --n {args.n} outside [2, 8]", file=sys.stderr)
-        return EXIT_ARGS
-    if args.points < 2:
-        print(f"error: --points {args.points} must be >= 2", file=sys.stderr)
-        return EXIT_ARGS
     text = curve_csv_text(args.n, args.points)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        if args.gnuplot:
-            gp_path = str(Path(args.out).with_suffix(".gp"))
-            with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(gnuplot_script(args.out))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    if args.gnuplot:
+        gp_path = str(Path(args.out).with_suffix(".gp"))
+        with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(gnuplot_script(args.out))
     return EXIT_OK
 
 
@@ -131,11 +142,7 @@ def _cmd_optimize_acc(args) -> int:
     ensemble = load_ensemble(args.ensemble, subnormalized=args.subnormalized)
     result = accessible_info_opt(ensemble, _optimizer_config(args))
     out_path = str(Path(args.ensemble).with_suffix(".optimal-povm.json"))
-    try:
-        save_povm(out_path, result.argmax)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    save_povm(out_path, result.argmax)
     print(f"value: {result.value:.12g}")
     print(f"converged: {str(result.converged).lower()}")
     print(f"iterations: {result.iterations}")
@@ -147,11 +154,7 @@ def _cmd_optimize_power(args) -> int:
     povm = load_povm(args.povm)
     result = informational_power_opt(povm, _optimizer_config(args))
     out_path = str(Path(args.povm).with_suffix(".optimal-ensemble.json"))
-    try:
-        save_ensemble(out_path, result.argmax)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    save_ensemble(out_path, result.argmax)
     print(f"value: {result.value:.12g}")
     print(f"converged: {str(result.converged).lower()}")
     print(f"iterations: {result.iterations}")
@@ -160,15 +163,6 @@ def _cmd_optimize_power(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    if not (2 <= args.n <= 8):
-        print(f"error: --n {args.n} outside [2, 8]", file=sys.stderr)
-        return EXIT_ARGS
-    if not (0.0 <= args.epsilon <= 1.0):
-        print(f"error: --epsilon {args.epsilon} outside [0, 1]", file=sys.stderr)
-        return EXIT_ARGS
-    if args.samples < 1000:
-        print(f"error: --samples {args.samples} must be >= 1000", file=sys.stderr)
-        return EXIT_ARGS
     sampler = HaarSampler(args.n, args.seed)
     est = mc_min_power_estimate(
         args.n, args.epsilon, args.samples, sampler, threads=args.threads
@@ -239,8 +233,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DimensionTooLargeError as exc:

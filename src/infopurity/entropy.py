@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     AlphaOutOfRangeError,
     EpsilonOutOfRangeError,
     NotNormalizedError,
     ValidationError,
 )
-from .operators import DensityOperator, JointDistribution, Spectrum, _check_epsilon
+from .operators import DensityOperator, JointDistribution, Spectrum
 
 # adjacent eigenvalues closer than this (relative) gap are merged into one
 # confluent node and handled by derivatives
@@ -34,23 +35,9 @@ def xlnx(x: float) -> float:
     return x * math.log(x)
 
 
-def _check_probability_vector(p, name: str = "p") -> np.ndarray:
-    v = np.asarray(p, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise NotNormalizedError(f"{name} is empty")
-    if not np.isfinite(v).all():
-        raise NotNormalizedError(f"{name} has a non-finite entry")
-    if v.min() < -1e-12:
-        raise NotNormalizedError(f"{name} has negative entry {v.min():.3e}")
-    v = np.maximum(v, 0.0)
-    if abs(v.sum() - 1.0) > 1e-10:
-        raise NotNormalizedError(f"{name} sums to {v.sum()!r}, not 1 within 1e-10")
-    return v
-
-
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p_k ln(p_k) of a probability vector, in nats."""
-    v = _check_probability_vector(p)
+    v = _checks.probabilities(p, "p", NotNormalizedError, ndim=None)
     nz = v[v > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -61,8 +48,8 @@ def relative_entropy(p, q) -> float:
     Returns ``math.inf`` when the support condition fails, i.e. some
     q_k = 0 carries p_k > 1e-12.
     """
-    vp = _check_probability_vector(p, "p")
-    vq = _check_probability_vector(q, "q")
+    vp = _checks.probabilities(p, "p", NotNormalizedError, ndim=None)
+    vq = _checks.probabilities(q, "q", NotNormalizedError, ndim=None)
     if vp.size != vq.size:
         raise ValidationError(f"length mismatch: {vp.size} vs {vq.size}")
     dead = vq <= 0.0
@@ -107,12 +94,16 @@ def renyi_entropy(spectrum, alpha: float) -> float:
     The order must be positive; values of alpha within 1e-6 of 1 take the
     Shannon limit explicitly.  H_2 equals -ln(purity) identically.
     """
-    if alpha <= 0.0:
-        raise AlphaOutOfRangeError(f"alpha {alpha!r} must be > 0")
+    alpha = _checks.real(
+        alpha, "alpha", 0.0, _checks.FLOAT_MAX, AlphaOutOfRangeError, lo_open=True
+    )
     v = _spectrum_values(spectrum)
     if abs(alpha - 1.0) < 1e-6:
         return shannon_entropy(v)
-    return float(np.log((v[v > 0.0] ** alpha).sum()) / (1.0 - alpha))
+    # scaled by the largest entry, so a large order cannot underflow the sum
+    top = v.max()
+    scaled = np.log(((v[v > 0.0] / top) ** alpha).sum())
+    return float(scaled / (1.0 - alpha) + alpha / (1.0 - alpha) * np.log(top))
 
 
 def _spectrum_values(spectrum) -> np.ndarray:
@@ -120,7 +111,7 @@ def _spectrum_values(spectrum) -> np.ndarray:
         if not spectrum.normalized:
             raise NotNormalizedError("spectrum is not flagged normalized")
         return spectrum.clipped()
-    return _check_probability_vector(spectrum, "spectrum")
+    return _checks.probabilities(spectrum, "spectrum", NotNormalizedError, ndim=None)
 
 
 class ConfluentNodeSet:
@@ -139,14 +130,15 @@ class ConfluentNodeSet:
         self.total = sum(m for _, m in nodes)
 
     @classmethod
-    def from_values(cls, values, rtol: float = CLUSTER_RTOL) -> "ConfluentNodeSet":
+    def from_values(cls, values) -> "ConfluentNodeSet":
         """Cluster a value vector: adjacent (sorted) entries whose gap is
-        below rtol * max(1, |value|) merge into one node at the cluster mean."""
+        below CLUSTER_RTOL * max(1, |value|) merge into one node at the
+        cluster mean."""
         v = np.sort(np.asarray(values, dtype=float))
         clusters: list[list[float]] = [[float(v[0])]]
         for x in v[1:]:
             x = float(x)
-            if x - clusters[-1][-1] < rtol * max(1.0, abs(x)):
+            if x - clusters[-1][-1] < CLUSTER_RTOL * max(1.0, abs(x)):
                 clusters[-1].append(x)
             else:
                 clusters.append([x])
@@ -271,9 +263,8 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
     series to avoid the (b-a)^(k-1) cancellation.  Continuous at eps -> 0
     with limit ln n - S_n, and zero at eps = 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"dimension n={n!r} must be an integer >= 2")
-    epsilon = _check_epsilon(epsilon)
+    n = _checks.integer(n, "dimension n", 2)
+    epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
     if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
         q = _depolarized_series(n, epsilon)
     else:
@@ -310,13 +301,11 @@ def subentropy_depolarized_derivative_form(
     is the unit-trace term by which this route nominally differs from the
     binomial-sum route; it vanishes identically (|correction| < 1e-12).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"dimension n={n!r} must be an integer >= 2")
-    if not (0.0 < epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {epsilon!r} outside (0, 1]: distinct eigenvalues required"
-        )
-    epsilon = min(epsilon, 1.0)
+    n = _checks.integer(n, "dimension n", 2)
+    # epsilon = 0 makes every eigenvalue equal, where this route divides by 0
+    epsilon = _checks.real(
+        epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError, lo_open=True
+    )
     a = (1.0 - epsilon) / n
     b = epsilon + a
     c = epsilon  # b - a, exactly

@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from . import _checks
+from .errors import InfopurityError, ValidationError
 from .operators import DensityOperator, Ensemble, HermitianOperator, Povm
 
 
@@ -69,11 +70,11 @@ def encode_povm(povm: Povm) -> str:
     return _dump({"dim": povm.dim, "elements": elements}) + "\n"
 
 
-def _require(data, key: str, where: str):
+def _require(data, key: str):
     if not isinstance(data, dict):
-        raise ValidationError(f"expected an object, got {type(data).__name__}", field=where)
+        raise ValidationError(f"expected an object, got {type(data).__name__}")
     if key not in data:
-        raise ValidationError(f"missing key {key!r}", field=where)
+        raise ValidationError(f"missing key {key!r}")
     return data[key]
 
 
@@ -85,34 +86,50 @@ def _is_number(x) -> bool:
 def _parse_object(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("top-level value must be an object")
     return data
 
 
-def _decode_dim(data: dict, where: str) -> int:
-    dim = _require(data, "dim", where)
+def _decode_dim(data: dict) -> int:
+    dim = _require(data, "dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"dim {dim!r} must be a positive integer", field="dim")
     return dim
 
 
-def _decode_matrix(entry: dict, dim: int, where: str) -> np.ndarray:
-    re = _require(entry, "matrix_re", where)
-    im = _require(entry, "matrix_im", where)
-    for name, part in (("matrix_re", re), ("matrix_im", im)):
+def _decode_list(data: dict, key: str, decode_entry) -> list:
+    """``decode_entry`` applied to each entry of the non-empty list
+    ``data[key]``; any package error it raises is reported as a
+    ValidationError naming the entry."""
+    entries = _require(data, key)
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f"{key} must be a non-empty list", field=key)
+    decoded = []
+    for k, entry in enumerate(entries):
+        try:
+            decoded.append(decode_entry(entry))
+        except InfopurityError as exc:
+            raise ValidationError(str(exc), field=f"{key}[{k}]") from exc
+    return decoded
+
+
+def _decode_matrix(entry: dict, dim: int) -> np.ndarray:
+    parts = []
+    for name in ("matrix_re", "matrix_im"):
+        part = _require(entry, name)
         if not isinstance(part, list) or len(part) != dim:
-            raise ValidationError(f"{name} must be a list of {dim} rows", field=where)
+            raise ValidationError(f"{name} must be a list of {dim} rows")
         for i, row in enumerate(part):
             if not isinstance(row, list) or len(row) != dim:
-                raise ValidationError(
-                    f"{name} row {i} must be a list of {dim} entries", field=where
-                )
+                raise ValidationError(f"{name} row {i} must be a list of {dim} entries")
             if not all(_is_number(x) for x in row):
-                raise ValidationError(f"{name} row {i} has a non-numeric entry", field=where)
-    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+                raise ValidationError(f"{name} row {i} has a non-numeric entry")
+        # rejects ints too large for a float and JSON's NaN and Infinity
+        parts.append(_checks.array(part, name, ndim=2))
+    return parts[0] + 1j * parts[1]
 
 
 def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
@@ -123,55 +140,42 @@ def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
     weight field is expected.
     """
     data = _parse_object(text)
-    dim = _decode_dim(data, "ensemble")
-    states = _require(data, "states", "ensemble")
-    if not isinstance(states, list) or not states:
-        raise ValidationError("states must be a non-empty list", field="states")
-    items = []
-    for k, entry in enumerate(states):
-        where = f"states[{k}]"
-        mat = _decode_matrix(entry, dim, where)
+    dim = _decode_dim(data)
+
+    def decode_state(entry):
+        mat = _decode_matrix(entry, dim)
         if subnormalized:
             weight = float(np.trace(mat).real)
             if weight <= 0.0:
-                raise ValidationError(
-                    f"sub-normalized state has trace {weight!r}", field=where
-                )
+                raise ValidationError(f"sub-normalized state has trace {weight!r}")
             mat = mat / weight
         else:
-            weight = _require(entry, "weight", where)
+            weight = _require(entry, "weight")
             if not _is_number(weight):
-                raise ValidationError(f"weight {weight!r} is not a number", field=where)
-        try:
-            items.append((weight, DensityOperator(mat)))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), field=where) from exc
-    try:
-        return Ensemble(items)
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from exc
+                raise ValidationError(f"weight {weight!r} is not a number")
+        return weight, DensityOperator(mat)
+
+    return Ensemble(_decode_list(data, "states", decode_state))
 
 
 def decode_povm(text: str) -> Povm:
     data = _parse_object(text)
-    dim = _decode_dim(data, "povm")
-    elements = _require(data, "elements", "povm")
-    if not isinstance(elements, list) or not elements:
-        raise ValidationError("elements must be a non-empty list", field="elements")
-    ops = []
-    for k, entry in enumerate(elements):
-        where = f"elements[{k}]"
-        mat = _decode_matrix(entry, dim, where)
+    dim = _decode_dim(data)
+    return Povm(
+        _decode_list(data, "elements", lambda e: HermitianOperator(_decode_matrix(e, dim)))
+    )
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            ops.append(HermitianOperator(mat))
-        except Exception as exc:
-            raise ValidationError(str(exc), field=where) from exc
-    return Povm(ops)
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"file is not UTF-8 text: {exc}") from exc
 
 
 def load_ensemble(path, subnormalized: bool = False) -> Ensemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_ensemble(fh.read(), subnormalized=subnormalized)
+    return decode_ensemble(_read_text(path), subnormalized=subnormalized)
 
 
 def save_ensemble(path, ensemble: Ensemble) -> None:
@@ -180,8 +184,7 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
 
 
 def load_povm(path) -> Povm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_povm(fh.read())
+    return decode_povm(_read_text(path))
 
 
 def save_povm(path, povm: Povm) -> None:

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .entropy import _mutual_info, mutual_information, shannon_entropy, subentropy
-from .errors import DimensionTooLargeError, ValidationError
+from .errors import DimensionTooLargeError, EpsilonOutOfRangeError, ValidationError
 from .montecarlo import HaarSampler
 from .operators import (
     DensityOperator,
     Ensemble,
     HermitianOperator,
     Povm,
-    _check_epsilon,
     born_joint,
     eig_hermitian,
     pure_state_density,
@@ -59,10 +59,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError(f"restarts {self.restarts} must be >= 1")
-        if self.tol <= 0.0:
-            raise ValidationError(f"tol {self.tol!r} must be > 0")
+        _checks.integer(self.restarts, "restarts", 1)
+        _checks.real(self.tol, "tol", 0.0, _checks.FLOAT_MAX, lo_open=True)
+        _checks.integer(self.seed, "seed", 0, _checks.SEED_MAX)
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,6 @@ def holevo_upper(ensemble: Ensemble) -> float:
         if w > 0.0:
             value -= w * shannon_entropy(state.spectrum.clipped())
     return max(value, 0.0)
-
-
-def _check_opt_dim(n: int):
-    if n > MAX_OPT_DIM:
-        raise DimensionTooLargeError(
-            f"dimension {n} exceeds optimizer limit {MAX_OPT_DIM}"
-        )
 
 
 def _ascend(value, state, direction, attempt, tol):
@@ -222,7 +214,7 @@ def accessible_info_opt(
     if cfg is None:
         cfg = OptimizerConfig()
     n = ensemble.dim
-    _check_opt_dim(n)
+    _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     rhos = ensemble.sub_normalized()
     _, avg_basis = eig_hermitian(ensemble.average.op)
     starts = [avg_basis.T.conj()] + [
@@ -329,7 +321,7 @@ def informational_power_opt(
     if cfg is None:
         cfg = OptimizerConfig()
     n = povm.dim
-    _check_opt_dim(n)
+    _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     k_cand = n * n
     stack = povm.stack()
 
@@ -376,7 +368,7 @@ def symmetric_upper_bound(ensemble: Ensemble) -> float:
     maximally mixed state.
     """
     n = ensemble.dim
-    _check_opt_dim(n)
+    _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     sigmas = np.stack([s.matrix for s in ensemble.states])
     weights = ensemble.weights
 
@@ -437,9 +429,8 @@ def jrw_tightness_probe(
     ensembles: build {D_eps(phi_x)} from Haar samples, optimize the
     accessible information and report the gap to the bound.  The gap is
     expected to shrink as the ensemble grows."""
-    if n not in (2, 3):
-        raise ValidationError(f"probe restricted to n in (2, 3), got {n}")
-    epsilon = _check_epsilon(epsilon)
+    n = _checks.integer(n, "probe dimension n", 2, 3)
+    epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
     if cfg is None:
         cfg = OptimizerConfig()
     ensemble = depolarized_haar_ensemble(n, epsilon, ensemble_size, seed=cfg.seed)

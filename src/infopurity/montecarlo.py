@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .operators import _check_epsilon
+from . import _checks
+from .errors import EpsilonOutOfRangeError, ValidationError
 
 # samples per shard; part of the fixed stream layout
 SHARD_SIZE = 1 << 14
@@ -33,25 +33,20 @@ class HaarSampler:
     """
 
     def __init__(self, dim: int, seed: int, stream_id: int = 0):
-        if dim < 1:
-            raise ValidationError(f"dimension {dim!r} must be >= 1")
-        self.dim = int(dim)
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.dim = _checks.integer(dim, "dimension", 1)
+        self.seed = _checks.integer(seed, "seed", 0, _checks.SEED_MAX)
+        self.stream_id = _checks.integer(stream_id, "stream_id", 0, _checks.SEED_MAX)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self._drawn = 0
 
     def states(self, count: int) -> np.ndarray:
         """Draw ``count`` unit-norm state vectors, shape (count, dim)."""
-        if count < 1:
-            raise ValidationError(f"count {count!r} must be >= 1")
+        count = _checks.integer(count, "count", 1)
         u = self._gen.random((count, 2 * self.dim))
         radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u in (0, 1]
         angle = 2.0 * np.pi * u[:, 1::2]
         z = radius * (np.cos(angle) + 1j * np.sin(angle))
         norms = np.sqrt((np.abs(z) ** 2).sum(axis=1, keepdims=True))
-        self._drawn += count
         return z / norms
 
     def state(self) -> np.ndarray:
@@ -112,11 +107,9 @@ def mc_min_power_estimate(
     Haar measure.  ``sampler`` provides the (seed, stream_id) base; shard
     i draws from stream_id base + i.
     """
-    if n < 2:
-        raise ValidationError(f"dimension n={n!r} must be >= 2")
-    epsilon = _check_epsilon(epsilon)
-    if samples < 1000:
-        raise ValidationError(f"samples {samples} < 1000")
+    n = _checks.integer(n, "dimension n", 2)
+    epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
+    samples = _checks.integer(samples, "samples", 1000)
     if sampler is None:
         sampler = HaarSampler(n, seed)
     if sampler.dim != n:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DimensionMismatchError,
     EpsilonOutOfRangeError,
@@ -25,25 +26,10 @@ TOL_COMPLETENESS = 1e-8
 
 
 def _as_square_complex(entries) -> np.ndarray:
-    try:
-        m = np.array(entries, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix entries are not numbers: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _checks.array(entries, "matrix", ndim=2, dtype=complex)
+    if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValidationError("dimension must be >= 1")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has a non-finite entry")
     return m
-
-
-def _check_epsilon(epsilon: float, lo: float = 0.0) -> float:
-    """Depolarization strength clamped to [lo, 1]; raises when it lies
-    more than 1e-12 outside."""
-    if not (lo - 1e-12 <= epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(f"epsilon {epsilon!r} outside [{lo:g}, 1]")
-    return min(max(epsilon, lo), 1.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -93,23 +79,13 @@ class Spectrum:
     __slots__ = ("values", "normalized")
 
     def __init__(self, values, normalized: bool | None = None):
-        v = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-        if v.ndim != 1 or v.size < 1:
-            raise ValidationError("spectrum must be a non-empty 1d vector")
-        if not np.isfinite(v).all():
-            raise ValidationError("spectrum has a non-finite entry")
+        v = np.sort(_checks.array(values, "spectrum"))[::-1].copy()
         if normalized is None:
             normalized = bool(
                 abs(v.sum() - 1.0) <= TOL_TRACE and v[-1] >= -TOL_PSD
             )
-        if normalized and v[-1] < -TOL_PSD:
-            raise ValidationError(
-                f"normalized spectrum has eigenvalue {v[-1]:.3e} < -1e-9"
-            )
-        if normalized and abs(v.sum() - 1.0) > TOL_TRACE:
-            raise ValidationError(
-                f"normalized spectrum sums to {v.sum()!r}, not 1"
-            )
+        elif normalized:
+            _checks.probabilities(v, "normalized spectrum", floor=-TOL_PSD)
         self.values: np.ndarray = _frozen(v)
         self.normalized: bool = normalized
 
@@ -189,7 +165,7 @@ class DensityOperator:
 
 def pure_state_density(vector) -> DensityOperator:
     """Projector |v><v| / <v|v> as a DensityOperator."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = _checks.array(vector, "state vector", ndim=None, dtype=complex)
     nrm2 = float(np.vdot(v, v).real)
     if nrm2 <= 0.0:
         raise ValidationError("zero vector cannot define a pure state")
@@ -207,27 +183,18 @@ class Ensemble:
     __slots__ = ("dim", "items", "weights", "states", "average")
 
     def __init__(self, items):
-        pairs = []
-        for k, (w, s) in enumerate(items):
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValidationError(f"weight {w!r} is not finite", field=f"items[{k}]")
-            if w < 0.0:
-                raise ValidationError(f"weight {w!r} < 0", field=f"items[{k}]")
-            if not isinstance(s, DensityOperator):
-                s = DensityOperator(s)
-            pairs.append((w, s))
-        if not pairs:
-            raise ValidationError("ensemble needs at least one state")
+        items = list(items)
+        weights = _checks.probabilities([w for w, _ in items], "weights", floor=0.0)
+        pairs = [
+            (w, s if isinstance(s, DensityOperator) else DensityOperator(s))
+            for w, (_, s) in zip(weights.tolist(), items)
+        ]
         dims = {s.dim for _, s in pairs}
         if len(dims) != 1:
             raise DimensionMismatchError(f"mixed dimensions {sorted(dims)} in ensemble")
-        total = sum(w for w, _ in pairs)
-        if abs(total - 1.0) > TOL_TRACE:
-            raise ValidationError(f"weights sum to {total!r}, must be 1 within 1e-10")
         self.dim: int = pairs[0][1].dim
         self.items: tuple = tuple(pairs)
-        self.weights: np.ndarray = _frozen(np.array([w for w, _ in pairs]))
+        self.weights: np.ndarray = _frozen(weights)
         self.states: tuple = tuple(s for _, s in pairs)
         avg = sum(w * s.matrix for w, s in pairs)
         self.average: DensityOperator = DensityOperator(avg)
@@ -294,16 +261,7 @@ class JointDistribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 2:
-            raise ValidationError("joint distribution must be a 2d matrix")
-        if not np.isfinite(p).all():
-            raise ValidationError("joint distribution has a non-finite entry")
-        if p.min() < -1e-12:
-            raise ValidationError(f"negative entry {p.min():.3e} in joint distribution")
-        p = np.maximum(p, 0.0)
-        if abs(p.sum() - 1.0) > TOL_TRACE:
-            raise ValidationError(f"joint distribution sums to {p.sum()!r}, not 1")
+        p = _checks.probabilities(probs, "joint distribution", ndim=2)
         self.probs: np.ndarray = _frozen(p)
 
     @property
@@ -353,7 +311,8 @@ def depolarize(x, epsilon: float) -> HermitianOperator:
     """eps * X + (1 - eps) * Tr[X] * I / n, positive for -1/(n-1) <= eps <= 1."""
     op = x if isinstance(x, HermitianOperator) else HermitianOperator(x)
     n = op.dim
-    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1) if n > 1 else 0.0)
+    lo = -1.0 / (n - 1) if n > 1 else 0.0
+    epsilon = _checks.real(epsilon, "epsilon", lo, 1.0, EpsilonOutOfRangeError)
     out = epsilon * op.matrix + (1.0 - epsilon) * op.trace * np.eye(n) / n
     return HermitianOperator(out)
 

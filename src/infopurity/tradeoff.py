@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
 from .entropy import subentropy_depolarized, xlnx
 from .errors import (
     AlphaOutOfRangeError,
@@ -38,36 +39,25 @@ from .operators import (
     Ensemble,
     HermitianOperator,
     Povm,
-    _check_epsilon,
     eig_hermitian,
 )
 
 
 def harmonic_tail(k: int) -> float:
     """Partial harmonic sum 1/2 + 1/3 + ... + 1/k (zero for k = 1)."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidKError(f"k={k!r} must be an integer >= 1")
+    k = _checks.integer(k, "k", 1, error=InvalidKError)
     return sum(1.0 / j for j in range(2, k + 1))
 
 
-def _check_dim(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"dimension n={n!r} must be an integer >= 2")
-    return int(n)
-
-
-def _check_purity(n: int, purity: float) -> float:
-    if not (1.0 / n - 1e-12 <= purity <= 1.0 + 1e-12):
-        raise PurityOutOfRangeError(
-            f"purity {purity!r} outside [1/{n}, 1]"
-        )
-    return min(max(purity, 1.0 / n), 1.0)
+def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
+    n = _checks.integer(n, "dimension n", 2)
+    return n, _checks.real(purity, "purity", 1.0 / n, 1.0, PurityOutOfRangeError)
 
 
 def epsilon_for_purity(n: int, purity: float) -> float:
     """Depolarization strength whose depolarized pure state has the given
     purity: eps = sqrt((n P - 1)/(n - 1))."""
-    purity = _check_purity(_check_dim(n), purity)
+    n, purity = _dim_and_purity(n, purity)
     return math.sqrt(max(n * purity - 1.0, 0.0) / (n - 1))
 
 
@@ -127,8 +117,7 @@ def min_informational_power(n: int, purity: float) -> TradeoffPoint:
     closed-form depolarized subentropy; zero at P = 1/n and
     ln n - harmonic_tail(n) at P = 1.
     """
-    n = _check_dim(n)
-    purity = _check_purity(n, purity)
+    n, purity = _dim_and_purity(n, purity)
     eps = epsilon_for_purity(n, purity)
     a = (1.0 - eps) / n
     b = eps + a
@@ -163,8 +152,7 @@ def max_accessible_information(n: int, purity: float) -> TradeoffPoint:
     Equals ln n at P = 1 and zero at P = 1/n; continuous in P with a
     derivative kink at every P = 1/k.
     """
-    n = _check_dim(n)
-    purity = _check_purity(n, purity)
+    n, purity = _dim_and_purity(n, purity)
     m, alpha, a, b = _two_level_params(n, purity)
     value = math.log(n) + m * xlnx(a) + xlnx(b)
     if -1e-12 < value < 0.0:
@@ -184,8 +172,7 @@ def max_subentropy_at_purity(n: int, purity: float) -> SubentropyMaxSolution:
     Attained by a depolarized pure state with eps = sqrt((nP - 1)/(n - 1));
     the value dominates the subentropy of every spectrum at that purity.
     """
-    n = _check_dim(n)
-    purity = _check_purity(n, purity)
+    n, purity = _dim_and_purity(n, purity)
     eps = epsilon_for_purity(n, purity)
     return SubentropyMaxSolution(
         n=n, purity=purity, epsilon=eps, value=subentropy_depolarized(n, eps)
@@ -207,10 +194,10 @@ def extremal_renyi_at_purity(
     returns the arg-extremum.  Ties (e.g. alpha = 2, where every candidate
     evaluates to -ln P) resolve to the smallest s, then the "+" branch.
     """
-    n = _check_dim(n)
-    purity = _check_purity(n, purity)
-    if alpha <= 0.0:
-        raise AlphaOutOfRangeError(f"alpha {alpha!r} must be > 0")
+    n, purity = _dim_and_purity(n, purity)
+    alpha = _checks.real(
+        alpha, "alpha", 0.0, _checks.FLOAT_MAX, AlphaOutOfRangeError, lo_open=True
+    )
     if kind not in ("min", "max"):
         raise ValidationError(f"kind {kind!r} must be 'min' or 'max'")
 
@@ -233,7 +220,10 @@ def extremal_renyi_at_purity(
                 if shannon_limit:
                     value = -(n_a * xlnx(a) + n_b * xlnx(b))
                 else:
-                    value = math.log(n_a * a**alpha + n_b * b**alpha) / (1.0 - alpha)
+                    # scaled by the larger level, so a large order cannot underflow
+                    top = max(a, b)
+                    scaled = math.log(n_a * (a / top) ** alpha + n_b * (b / top) ** alpha)
+                    value = scaled / (1.0 - alpha) + alpha / (1.0 - alpha) * math.log(top)
                 candidates.append((value, s, 0 if branch == "+" else 1, n_a, n_b, branch, a, b))
     if not candidates:
         raise NoFeasibleCandidateError(
@@ -272,8 +262,7 @@ def optimal_commuting_ensemble(n: int, purity: float) -> Ensemble:
     ensemble averages to the maximally mixed state, every member has
     purity P, and its Holevo bound is attained (commuting states).
     """
-    n = _check_dim(n)
-    purity = _check_purity(n, purity)
+    n, purity = _dim_and_purity(n, purity)
     m, _, a, b = _two_level_params(n, purity)
     vec = np.zeros(n)
     vec[: min(m, n)] = a
@@ -295,10 +284,9 @@ def depolarized_scrooge_povm(
     the informational power approaches ``min_informational_power`` at the
     matching purity.
     """
-    n = _check_dim(n)
-    if count < n * n:
-        raise CountTooSmallError(f"count {count} < n^2 = {n * n}")
-    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1))
+    n = _checks.integer(n, "dimension n", 2)
+    count = _checks.integer(count, "count", n * n, error=CountTooSmallError)
+    epsilon = _checks.real(epsilon, "epsilon", -1.0 / (n - 1), 1.0, EpsilonOutOfRangeError)
 
     phis = HaarSampler(n, seed).states(count)
     projectors = np.einsum("yi,yj->yij", phis, phis.conj())
@@ -317,7 +305,8 @@ def depolarized_haar_ensemble(
     n: int, epsilon: float, size: int, seed: int = 0, stream_id: int = 0
 ) -> Ensemble:
     """Uniform-weight ensemble of ``size`` depolarized Haar pure states."""
-    epsilon = _check_epsilon(epsilon, lo=-1.0 / (n - 1))
+    n = _checks.integer(n, "dimension n", 2)
+    epsilon = _checks.real(epsilon, "epsilon", -1.0 / (n - 1), 1.0, EpsilonOutOfRangeError)
     phis = HaarSampler(n, seed, stream_id).states(size)
     eye = np.eye(n)
     states = []
@@ -343,12 +332,11 @@ def min_power_haar_integral(n: int, epsilon: float) -> float:
     ln n - n * (that average).  Must coincide with
     ``min_informational_power(n, purity_for_epsilon(n, eps))``.
     """
-    n = _check_dim(n)
-    if not (1e-6 < epsilon <= 1.0 + 1e-12):
-        raise EpsilonOutOfRangeError(
-            f"epsilon {epsilon!r} outside (1e-6, 1]: affine map must be non-constant"
-        )
-    epsilon = min(epsilon, 1.0)
+    n = _checks.integer(n, "dimension n", 2)
+    # the affine map must be non-constant
+    epsilon = _checks.real(
+        epsilon, "epsilon", 1e-6, 1.0, EpsilonOutOfRangeError, lo_open=True
+    )
     a = (1.0 - epsilon) / n
     b = epsilon + a
     c = epsilon  # b - a, exactly
