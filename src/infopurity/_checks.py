@@ -44,6 +44,24 @@ def real(value, name: str, lo: float, hi: float, error=ValidationError, lo_open:
     return min(max(value, lo), hi)
 
 
+def items(values, name: str, error=ValidationError, pairs: bool = False) -> list:
+    """``values`` as a list, of 2-tuples when ``pairs``; raises ``error``
+    unless it is iterable and, with ``pairs``, every item unpacks into
+    two."""
+    try:
+        out = list(values)
+    except TypeError as exc:
+        raise error(f"{name} is not iterable: {exc}") from exc
+    if pairs:
+        for k, item in enumerate(out):
+            try:
+                first, second = item
+            except (TypeError, ValueError) as exc:
+                raise error(f"{name}[{k}] is not a pair: {exc}") from exc
+            out[k] = (first, second)
+    return out
+
+
 def array(values, name: str, error=ValidationError, ndim: int | None = 1, dtype=float):
     """``values`` as a non-empty finite array of ``ndim`` dimensions
     (flattened when ``ndim`` is None); raises ``error`` otherwise."""

@@ -120,9 +120,13 @@ class ConfluentNodeSet:
     __slots__ = ("nodes", "total")
 
     def __init__(self, nodes):
-        nodes = tuple((float(v), int(m)) for v, m in nodes)
-        if any(m < 1 for _, m in nodes):
-            raise ValidationError("multiplicities must be >= 1")
+        nodes = tuple(
+            (
+                float(_checks.real(v, "node value", -_checks.FLOAT_MAX, _checks.FLOAT_MAX)),
+                _checks.integer(m, "multiplicity", 1),
+            )
+            for v, m in _checks.items(nodes, "nodes", pairs=True)
+        )
         vals = [v for v, _ in nodes]
         if len(set(vals)) != len(vals):
             raise ValidationError("node values must be pairwise distinct")
@@ -134,7 +138,7 @@ class ConfluentNodeSet:
         """Cluster a value vector: adjacent (sorted) entries whose gap is
         below CLUSTER_RTOL * max(1, |value|) merge into one node at the
         cluster mean."""
-        v = np.sort(np.asarray(values, dtype=float))
+        v = np.sort(_checks.array(values, "values"))
         clusters: list[list[float]] = [[float(v[0])]]
         for x in v[1:]:
             x = float(x)
@@ -142,7 +146,11 @@ class ConfluentNodeSet:
                 clusters[-1].append(x)
             else:
                 clusters.append([x])
-        return cls((sum(c) / len(c), len(c)) for c in clusters)
+        # distinct finite nodes with counts >= 1 by construction: no re-check
+        out = cls.__new__(cls)
+        out.nodes = tuple((sum(c) / len(c), len(c)) for c in clusters)
+        out.total = v.size
+        return out
 
     def __repr__(self) -> str:
         return f"ConfluentNodeSet({self.nodes})"

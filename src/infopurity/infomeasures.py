@@ -6,11 +6,13 @@ each sweep moves the outcome vectors along the mutual-information
 gradient, restores completeness exactly by S^(-1/2) . S^(-1/2)
 symmetrization, and keeps the step only if the information increased
 (backtracking line search), so the best value is monotone.  The
-informational-power optimizer alternates a capacity-style fixed point on
-the prior of a candidate pure-state alphabet with per-state gradient
-ascent.  Neither certifies global optimality; restarts from independent
-Haar frames plus a deterministic spectral start make the known optima of
-the test families reliably reachable.
+informational-power optimizer alternates a certified active-set Newton
+solve for the best prior of a candidate pure-state alphabet (the channel
+capacity of the fixed alphabet, within a proven gap) with per-state
+gradient ascent.  Neither certifies global optimality over POVMs or
+alphabets; restarts from independent Haar frames plus a deterministic
+spectral start make the known optima of the test families reliably
+reachable.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ _LOG_FLOOR = 1e-300
 MAX_OPT_DIM = 8
 # sweeps per restart before it is reported unconverged
 _MAX_SWEEPS = 300
+# Newton iterations per capacity-prior solve before it is reported uncertified
+_PRIOR_ITERS = 50
 _SYM_STARTS = 32
 
 
@@ -236,32 +240,110 @@ def _row_divergences(prior: np.ndarray, channel: np.ndarray, log_channel: np.nda
     return (channel * (log_channel - np.log(np.maximum(out, _LOG_FLOOR))[None, :])).sum(axis=1)
 
 
-def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = None):
-    """Iterative-scaling fixed point for the best prior of a fixed channel.
+def _newton_step(prior, d, channel, best):
+    """Newton direction of I(p) on the free set, or None when that set
+    has a single letter or the quadratic model does not hold.
 
-    ``channel[x, y]`` holds p(y|x); returns (prior, value) after at most
-    1000 iterations.  A warm-start prior is floored at 1e-12 so
-    extinguished letters can re-enter.
+    The free set is the support plus ``best``; a zero letter whose step
+    is negative leaves it.  I(p) has gradient D_x - 1 and Hessian
+    -W diag(1/q) W^T (q = pW), so the step solves the KKT system
+    [[H + mu I, 1], [1^T, 0]] with right-hand side d_F; mu is 1e-9 of the
+    mean diagonal, because duplicated rows make H singular.  A free letter
+    reaching an output of probability zero has unbounded curvature.
+    """
+    q = prior @ channel
+    live = q > 0.0
+    free = prior > 0.0
+    free[best] = True
+    while True:
+        idx = np.flatnonzero(free)
+        m = idx.size
+        rows = channel[idx]
+        if m < 2 or rows[:, ~live].any():
+            return None
+        h = (rows[:, live] / q[live]) @ rows[:, live].T
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = h + (1e-9 * np.trace(h) / m) * np.eye(m)
+        kkt[m, m] = 0.0
+        step = np.linalg.solve(kkt, np.append(d[idx], 0.0))[:m]
+        leave = (prior[idx] == 0.0) & (step < 0.0)
+        if not leave.any():
+            break
+        free[idx[leave]] = False
+    full = np.zeros_like(prior)
+    full[idx] = step
+    return full
+
+
+def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = None):
+    """Certified best prior of a fixed channel: active-set Newton ascent
+    of the mutual information I(p) on the simplex.
+
+    ``channel[x, y]`` holds p(y|x).  Each iteration takes the Newton step
+    of ``_newton_step``, cut by a ratio test that zeroes the letter
+    blocking it and halved until the value rises (or, with the value flat
+    to 1e-15, the gap below shrinks); if no Newton step rises, it takes a
+    Frank-Wolfe step toward argmax_x D_x, which ascends while that gap is
+    positive.  Warm-start letters at or below
+    1e-12 start at exactly zero and re-enter through the free set.
+    Returns ``(prior, value, certified)``: certified when
+    max_x D(W_x || pW) - I(p), an upper bound on capacity - value, is
+    below max(tol, 1e-13); uncertified when neither step rises or after
+    ``_PRIOR_ITERS`` iterations.
     """
     x_count = channel.shape[0]
     if warm is None:
         prior = np.full(x_count, 1.0 / x_count)
     else:
-        prior = np.maximum(warm, 1e-12)
+        prior = np.where(warm > 1e-12, warm, 0.0)
         prior = prior / prior.sum()
     log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
-    value = -math.inf
-    for _ in range(1000):
-        d = _row_divergences(prior, channel, log_channel)
-        new_value = float(prior @ d)
-        gap = float(d.max() - new_value)
-        stalled = new_value - value < max(tol * 1e-2, 1e-15)
-        value = new_value
-        if gap < max(tol, 1e-13) or stalled:
-            return prior, value
-        scaled = prior * np.exp(d - d.max())
-        prior = scaled / scaled.sum()
-    return prior, value
+
+    def rise(step, t, blocker=None):
+        # halve t until prior + t * step raises the value, or shrinks the
+        # gap with the value flat to roundoff: near the optimum the gain,
+        # of order gap^2, is below what the value resolves
+        for _ in range(50):
+            trial = np.maximum(prior + t * step, 0.0)
+            if blocker is not None:
+                trial[blocker] = 0.0
+                blocker = None
+            trial = trial / trial.sum()
+            d = _row_divergences(trial, channel, log_channel)
+            trial_value = float(trial @ d)
+            if trial_value > value or (
+                trial_value > value - 1e-15 and d.max() - trial_value < gap
+            ):
+                return trial, trial_value, d
+            t *= 0.5
+        return None
+
+    target = max(tol, 1e-13)
+    d = _row_divergences(prior, channel, log_channel)
+    value = float(prior @ d)
+    for _ in range(_PRIOR_ITERS):
+        best = int(np.argmax(d))
+        gap = d[best] - value
+        if gap < target:
+            break
+        moved = None
+        step = _newton_step(prior, d, channel, best)
+        if step is not None:
+            down = np.flatnonzero(step < 0.0)
+            ratios = prior[down] / -step[down]
+            if ratios.size and ratios.min() < 1.0:
+                k = int(np.argmin(ratios))
+                moved = rise(step, float(ratios[k]), down[k])
+            else:
+                moved = rise(step, 1.0)
+        if moved is None:
+            toward = -prior
+            toward[best] += 1.0
+            moved = rise(toward, 1.0)
+        if moved is None:
+            break
+        prior, value, d = moved
+    return prior, value, bool(d.max() - value < target)
 
 
 def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray) -> float:
@@ -275,11 +357,12 @@ def _ensemble_channel(states: np.ndarray, povm_stack: np.ndarray) -> np.ndarray:
 
 
 def _power_restart(povm_stack, states, tol):
-    """Alternate the prior fixed point with per-state gradient ascent at
-    fixed prior; returns (value, (states, prior), sweeps, converged)."""
+    """Alternate the certified capacity prior with per-state gradient
+    ascent at fixed prior; returns (value, (states, prior), sweeps,
+    converged), converged only if the final prior is certified."""
 
     def direction(state):
-        states, prior = state
+        states, prior, _ = state
         b = _ensemble_channel(states, povm_stack)
         out = prior @ b
         logs = np.log(np.maximum(b, _LOG_FLOOR)) - np.log(
@@ -289,7 +372,7 @@ def _power_restart(povm_stack, states, tol):
         return moved, _fixed_prior_information(prior, b)
 
     def attempt(state, move, step):
-        states, prior = state
+        states, prior, _ = state
         moved, fixed_value = move
         trial = states + step * moved
         norms = np.sqrt((np.abs(trial) ** 2).sum(axis=1, keepdims=True))
@@ -298,11 +381,14 @@ def _power_restart(povm_stack, states, tol):
         if _fixed_prior_information(prior, channel) <= fixed_value:
             return None
         # re-optimize the prior only for state moves that pass at fixed prior
-        new_prior, value = _capacity_prior(channel, tol, warm=prior)
-        return value, (trial, new_prior)
+        new_prior, value, certified = _capacity_prior(channel, tol, warm=prior)
+        return value, (trial, new_prior, certified)
 
-    prior, value = _capacity_prior(_ensemble_channel(states, povm_stack), tol)
-    return _ascend(value, (states, prior), direction, attempt, tol)
+    prior, value, certified = _capacity_prior(_ensemble_channel(states, povm_stack), tol)
+    value, (states, prior, certified), sweeps, converged = _ascend(
+        value, (states, prior, certified), direction, attempt, tol
+    )
+    return value, (states, prior), sweeps, converged and certified
 
 
 def informational_power_opt(
@@ -313,8 +399,9 @@ def informational_power_opt(
     Pure-state alphabets of n^2 candidates suffice; restart 0 seeds them
     with the leading eigenvectors of (a deterministic spread of) the POVM
     elements, further restarts with Haar states.  For each alphabet the
-    prior is globally optimized by the capacity fixed point, then the
-    states follow the information gradient.  Restarts run one after
+    prior is globally optimized by a certified Newton capacity solve, then
+    the states follow the information gradient; ``converged`` also
+    requires the final prior's capacity certificate.  Restarts run one after
     another in the calling thread: the sweeps hold the interpreter lock,
     so worker threads would not speed them up.
     """

@@ -183,7 +183,7 @@ class Ensemble:
     __slots__ = ("dim", "items", "weights", "states", "average")
 
     def __init__(self, items):
-        items = list(items)
+        items = _checks.items(items, "items", pairs=True)
         weights = _checks.probabilities([w for w, _ in items], "weights", floor=0.0)
         pairs = [
             (w, s if isinstance(s, DensityOperator) else DensityOperator(s))
@@ -218,7 +218,7 @@ class Povm:
     def __init__(self, elements):
         ops = [
             e if isinstance(e, HermitianOperator) else HermitianOperator(e)
-            for e in elements
+            for e in _checks.items(elements, "elements")
         ]
         if not ops:
             raise ValidationError("POVM needs at least one element")
@@ -302,7 +302,7 @@ def elementary_symmetric2(spectrum) -> float:
     Satisfies ``purity = 1 - 2 * elementary_symmetric2`` for unit-trace
     spectra.
     """
-    v = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum, float)
+    v = spectrum.values if isinstance(spectrum, Spectrum) else _checks.array(spectrum, "spectrum")
     s = float(v.sum())
     return (s * s - float(np.dot(v, v))) / 2.0
 

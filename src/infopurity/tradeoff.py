@@ -62,7 +62,10 @@ def epsilon_for_purity(n: int, purity: float) -> float:
 
 
 def purity_for_epsilon(n: int, epsilon: float) -> float:
-    """Purity ((n-1) eps^2 + 1)/n of a depolarized pure state."""
+    """Purity ((n-1) eps^2 + 1)/n of a depolarized pure state, for an
+    integer n >= 2 and -1/(n-1) <= eps <= 1."""
+    n = _checks.integer(n, "dimension n", 2)
+    epsilon = _checks.real(epsilon, "epsilon", -1.0 / (n - 1), 1.0, EpsilonOutOfRangeError)
     return ((n - 1) * epsilon**2 + 1.0) / n
 
 

@@ -5,7 +5,10 @@ subentropy oracle integrates over the probability simplex with scipy
 quadrature, the rational-sum oracle evaluates the eigenvalue formula
 directly, accessible information for qubits is maximized on a dense
 great-circle grid of projective measurements, and the constrained-entropy
-oracle walks the purity circle inside the 3-simplex.
+oracle walks the purity circle inside the 3-simplex.  The capacity
+reference is the iterative-scaling (Blahut-Arimoto) fixed point the
+library's capacity prior once used, kept with its stall rule so the
+Newton solver can be shown never to fall below it.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def renyi_of(lam: np.ndarray, alpha: float) -> np.ndarray:
 
 def renyi_extrema_grid_3(purity: float, alpha: float, points: int = 20001):
     """Min and max Renyi entropy on the purity circle inside the
-    3-simplex, густой theta grid plus the exact positivity-boundary
+    3-simplex, dense theta grid plus the exact positivity-boundary
     points (where the extrema of clipped arcs live)."""
     center = np.ones(3) / 3.0
     u = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -165,3 +168,33 @@ def random_symmetrized_povm(n: int, outcomes: int, rng):
     evals, basis = np.linalg.eigh(s)
     inv_sqrt = (basis * (1.0 / np.sqrt(evals))) @ basis.conj().T
     return [inv_sqrt @ e @ inv_sqrt for e in raw]
+
+
+def blahut_arimoto_prior(channel, tol: float, warm=None):
+    """Blahut-Arimoto best prior of ``channel[x, y] = p(y|x)``; returns
+    (prior, value) after at most 1000 iterations.
+
+    Stops on the gap certificate or when an iteration gains less than
+    max(tol * 1e-2, 1e-15); a warm-start prior is floored at 1e-12.
+    """
+    channel = np.asarray(channel, dtype=float)
+    x_count = channel.shape[0]
+    if warm is None:
+        prior = np.full(x_count, 1.0 / x_count)
+    else:
+        prior = np.maximum(warm, 1e-12)
+        prior = prior / prior.sum()
+    log_channel = np.log(np.maximum(channel, 1e-300))
+    value = -math.inf
+    for _ in range(1000):
+        out = prior @ channel
+        d = (channel * (log_channel - np.log(np.maximum(out, 1e-300))[None, :])).sum(axis=1)
+        new_value = float(prior @ d)
+        gap = float(d.max() - new_value)
+        stalled = new_value - value < max(tol * 1e-2, 1e-15)
+        value = new_value
+        if gap < max(tol, 1e-13) or stalled:
+            return prior, value
+        scaled = prior * np.exp(d - d.max())
+        prior = scaled / scaled.sum()
+    return prior, value

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import infopurity
 from infopurity import (
     AlphaOutOfRangeError,
+    ConfluentNodeSet,
     CountTooSmallError,
     Ensemble,
     EpsilonOutOfRangeError,
@@ -35,11 +36,13 @@ from infopurity import (
     Spectrum,
     ValidationError,
     depolarized_scrooge_povm,
+    elementary_symmetric2,
     extremal_renyi_at_purity,
     harmonic_tail,
     mc_min_power_estimate,
     min_informational_power,
     pure_state_density,
+    purity_for_epsilon,
     renyi_entropy,
     shannon_entropy,
     subentropy_depolarized,
@@ -72,13 +75,31 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: harmonic_tail(True), InvalidKError),
         (lambda: depolarized_scrooge_povm(2, 0.5, 4.5, 0), CountTooSmallError),
         (lambda: depolarized_haar_ensemble(1, 0.5, 3), ValidationError),
+        (lambda: purity_for_epsilon(2, 5.0), EpsilonOutOfRangeError),
+        (lambda: purity_for_epsilon(3, -0.6), EpsilonOutOfRangeError),
+        (lambda: purity_for_epsilon(1.5, 0.5), ValidationError),
+        (lambda: purity_for_epsilon(1, 0.5), ValidationError),
+        (lambda: purity_for_epsilon(2, math.nan), EpsilonOutOfRangeError),
+        (lambda: purity_for_epsilon(2, "a"), EpsilonOutOfRangeError),
+        (lambda: ConfluentNodeSet([("a", 1)]), ValidationError),
+        (lambda: ConfluentNodeSet([(0.5, 2.7)]), ValidationError),
+        (lambda: ConfluentNodeSet([0.5]), ValidationError),
+        (lambda: ConfluentNodeSet.from_values(["a"]), ValidationError),
+        (lambda: ConfluentNodeSet.from_values([]), ValidationError),
+        (lambda: elementary_symmetric2(["a"]), ValidationError),
+        (lambda: Ensemble([1.0]), ValidationError),
+        (lambda: Povm(5), ValidationError),
     ],
     ids=[
         "spectrum-str", "joint-str", "shannon-str", "ensemble-str-weight",
         "purity-str", "epsilon-str", "renyi-nan-alpha", "extremal-nan-alpha",
         "tol-nan", "sampler-negative-seed", "config-negative-seed",
         "sampler-float-dim", "mc-float-dim", "k-bool", "count-float",
-        "haar-ensemble-dim-1",
+        "haar-ensemble-dim-1", "purity-eps-above-1", "purity-eps-below-range",
+        "purity-float-dim", "purity-dim-1", "purity-nan-eps", "purity-str-eps",
+        "nodes-str-value", "nodes-float-multiplicity", "nodes-not-pairs",
+        "nodes-from-str", "nodes-from-empty",
+        "e2-str", "ensemble-not-pairs", "povm-not-iterable",
     ],
 )
 def test_malformed_input_raises_typed_error(call, error):
@@ -335,6 +356,7 @@ SCALAR_ENTRY_POINTS = {
         lambda a: mc_min_power_estimate(a[0], a[1], 1000).mean,
     ),
     "harmonic_tail": (st.tuples(scalars(st.integers(-5, 2000))), lambda a: harmonic_tail(*a)),
+    "purity_for_epsilon": (st.tuples(scalars(), scalars()), lambda a: purity_for_epsilon(*a)),
     "depolarized_scrooge_povm": (
         st.tuples(scalars(st.integers(-5, 24)), scalars(st.integers(-3, 3))),
         lambda a: depolarized_scrooge_povm(2, 0.5, a[0], a[1]),

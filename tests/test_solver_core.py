@@ -43,9 +43,9 @@ def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
 @pytest.mark.parametrize(
     "args, sweeps, value",
     [
-        ((2, 0.9, 16, 5), 86, 0.19485543121795879),
-        ((2, 0.85, 64, 6), 107, 0.15719915892444683),
-        ((3, 0.9, 27, 7), 172, 0.31147498122236955),
+        ((2, 0.9, 16, 5), 88, 0.19485543121794147),
+        ((2, 0.85, 64, 6), 108, 0.15719915881262456),
+        ((3, 0.9, 27, 7), 158, 0.31147498142276775),
     ],
 )
 def test_informational_power_trajectory(args, sweeps, value):
