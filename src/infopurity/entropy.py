@@ -69,18 +69,17 @@ def mutual_information(joint) -> float:
         p = joint.probs
     else:
         p = JointDistribution(joint).probs
-    return _mutual_info(p)
+    return float(_mutual_info(p))
 
 
-def _mutual_info(p: np.ndarray) -> float:
-    # unvalidated kernel, shared with the see-saw's inner loop
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mask = p > 0.0
-    logs = np.log(p[mask]) - np.log(
-        np.maximum(np.outer(px, py)[mask], _LOG_FLOOR)
-    )
-    return float((p[mask] * logs).sum())
+def _mutual_info(p: np.ndarray) -> np.ndarray:
+    # unvalidated kernel over the last two axes, shared with the see-saw's
+    # stacked inner loop; zero cells are masked before the log
+    px = p.sum(axis=-1, keepdims=True)
+    py = p.sum(axis=-2, keepdims=True)
+    live = p > 0.0
+    logs = np.log(np.where(live, p, 1.0)) - np.log(np.maximum(px * py, _LOG_FLOOR))
+    return np.where(live, p * logs, 0.0).sum(axis=(-2, -1))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

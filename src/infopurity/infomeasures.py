@@ -13,6 +13,12 @@ gradient ascent.  Neither certifies global optimality over POVMs or
 alphabets; restarts from independent Haar frames plus a deterministic
 spectral start make the known optima of the test families reliably
 reachable.
+
+Every optimizer runs all of its restarts in lock-step through one
+backtracking ascent over stacked arrays (restart = leading axis): each
+restart keeps its own step and convergence state, so it takes exactly the
+trials it would take alone, while the linear algebra of one sweep runs
+once for the whole stack.
 """
 
 from __future__ import annotations
@@ -25,7 +31,13 @@ import numpy as np
 
 from . import _checks
 from .entropy import _mutual_info, mutual_information, shannon_entropy, subentropy
-from .errors import DimensionTooLargeError, EpsilonOutOfRangeError, ValidationError
+from .errors import (
+    DimensionTooLargeError,
+    EpsilonOutOfRangeError,
+    NoConvergenceError,
+    NonHermitianError,
+    ValidationError,
+)
 from .montecarlo import HaarSampler
 from .operators import (
     DensityOperator,
@@ -69,13 +81,30 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """What one restart did: its start ``kind`` (``"spectral"``,
+    ``"eigenvector"`` or ``"haar"``), final value in nats (-inf without a
+    feasible start), sweeps, converged flag and final line-search step.
+    It has no wall time: the restarts run in lock-step on one clock.
+    """
+
+    kind: str
+    value: float
+    sweeps: int
+    converged: bool
+    step: float
+
+
+@dataclass(frozen=True)
 class InfoResult:
-    """Optimizer outcome: value in nats plus the optimizing object."""
+    """Optimizer outcome: value in nats plus the optimizing object, and
+    one ``RestartRecord`` per restart in restart order."""
 
     value: float
     argmax: object
     iterations: int
     converged: bool
+    restarts: tuple = ()
 
 
 def jrw_lower(ensemble: Ensemble) -> float:
@@ -109,100 +138,127 @@ def holevo_upper(ensemble: Ensemble) -> float:
     return max(value, 0.0)
 
 
+def _take(parts, rows):
+    return tuple(part[rows] for part in parts)
+
+
 def _ascend(value, state, direction, attempt, tol):
-    """Backtracking ascent shared by the three optimizers.
+    """Backtracking ascent shared by the three optimizers, on R restarts
+    ("rows") in lock-step.
 
-    Each sweep takes ``move = direction(state)`` and tries
-    ``attempt(state, move, step)``, which returns the ``(value, state)``
-    of the trial point, or None for an infeasible one.  The first trial
-    that raises the value is kept and grows the step by 1.3 (up to 1e3);
-    every other trial shrinks it by 0.4 (down to 1e-14).  Three sweeps in
-    a row gaining less than ``tol`` mean converged.  Returns
-    ``(value, state, sweeps, converged)``.
+    ``value`` has shape (R,); ``state`` is a tuple of arrays with the row
+    as leading axis, updated in place.  A row starting at -inf never runs.
+    Each sweep takes ``move = direction(state)`` on the running rows and
+    tries ``attempt(state, move, step)`` on the rows still searching,
+    which returns their trial values (-inf if infeasible) and states.  Per
+    row, the first trial that raises the value is kept and grows the
+    row's step by 1.3 (up to 1e3); every other trial shrinks it by 0.4
+    (down to 1e-14).  Three sweeps in a row gaining less than ``tol`` stop
+    a row as converged, so each row takes exactly the trials it would
+    take alone.  Returns per-row ``(value, state, sweeps, converged,
+    step)``; sweeps is 300 for an unconverged row, 0 for an infeasible one.
     """
-    step = 0.2
-    strikes = 0
+    value = np.array(value, dtype=float)
+    step = np.full(value.size, 0.2)
+    strikes = np.zeros(value.size, dtype=int)
+    converged = np.zeros(value.size, dtype=bool)
+    sweeps = np.where(np.isfinite(value), _MAX_SWEEPS, 0)
+    running = np.flatnonzero(sweeps)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        move = direction(state)
-        gained = 0.0
-        while step > 1e-14:
-            trial = attempt(state, move, step)
-            if trial is not None and trial[0] > value:
-                gained = trial[0] - value
-                value, state = trial
-                step = min(step * 1.3, 1e3)
-                break
-            step *= 0.4
-        strikes = strikes + 1 if gained < tol else 0
-        if strikes >= 3:
-            return value, state, sweep, True
-    return value, state, _MAX_SWEEPS, False
+        if running.size == 0:
+            break
+        move = direction(_take(state, running))
+        gained = np.zeros(running.size)
+        search = np.flatnonzero(step[running] > 1e-14)  # positions in running
+        while search.size:
+            idx = running[search]
+            trial_value, trial = attempt(_take(state, idx), _take(move, search), step[idx])
+            up = trial_value > value[idx]
+            hit = idx[up]
+            gained[search[up]] = trial_value[up] - value[hit]
+            value[hit] = trial_value[up]
+            for part, new in zip(state, trial):
+                part[hit] = new[up]
+            step[hit] = np.minimum(step[hit] * 1.3, 1e3)
+            miss = idx[~up]
+            step[miss] *= 0.4
+            search = search[~up][step[miss] > 1e-14]
+        strikes[running] = np.where(gained < tol, strikes[running] + 1, 0)
+        done = strikes[running] >= 3
+        sweeps[running[done]] = sweep
+        converged[running[done]] = True
+        running = running[~done]
+    return value, state, sweeps, converged, step
 
 
-def _best_restart(runs):
-    """The first highest-value restart with a feasible state, and the
-    sweeps summed over all restarts.
-
-    Each run is ``(value, state, sweeps, converged)``; ``state`` is None
-    when the restart had no feasible start.
-    """
-    best = None
-    sweeps = 0
-    for run in runs:
-        sweeps += run[2]
-        if run[1] is not None and (best is None or run[0] > best[0]):
-            best = run
-    if best is None:
+def _best_restart(first_kind, value, sweeps, converged, step):
+    """The first highest-value feasible row, the sweeps summed over all
+    rows and one ``RestartRecord`` per row (row 0 of ``first_kind``, the
+    others Haar)."""
+    if not np.isfinite(value).any():
         raise ValidationError("optimizer failed to produce a feasible start")
-    return best, sweeps
+    kinds = [first_kind] + ["haar"] * (value.size - 1)
+    records = tuple(
+        RestartRecord(kind, float(v), int(s), bool(c), float(t))
+        for kind, v, s, c, t in zip(kinds, value, sweeps, converged, step)
+    )
+    return int(np.argmax(value)), int(sweeps.sum()), records
 
 
-def _vectors_to_joint(rhos: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # p[x, y] = <v_y| rho_x |v_y>, rho_x sub-normalized
-    p = np.einsum("yi,xij,yj->xy", vecs.conj(), rhos, vecs).real
-    return np.maximum(p, 0.0)
+def _symmetrize_vectors(vecs: np.ndarray):
+    """v_y -> S^(-1/2) v_y per row, with S = sum_y |v_y><v_y|.
 
-
-def _symmetrize_vectors(vecs: np.ndarray) -> np.ndarray | None:
-    # v_y -> S^(-1/2) v_y with S = sum_y |v_y><v_y|; None if S is singular
-    s = np.einsum("yi,yj->ij", vecs, vecs.conj())
-    spec, basis = eig_hermitian(HermitianOperator(s, tol=1e-8))
-    if spec.values[-1] < 1e-12:
-        return None
-    inv_sqrt = (basis * (1.0 / np.sqrt(spec.values))) @ basis.conj().T
-    return vecs @ inv_sqrt.T
+    Returns ``(vectors, feasible)``; a row is infeasible when its S is
+    singular (smallest eigenvalue below 1e-12), and its vectors are then
+    meaningless.
+    """
+    s = np.einsum("ryi,ryj->rij", vecs, vecs.conj())
+    s_dag = s.conj().swapaxes(-1, -2)
+    dev = np.abs(s - s_dag).max()
+    if not dev <= 1e-8:  # NaN and inf entries fail too
+        raise NonHermitianError(f"frame operator not finite and Hermitian: {dev:.3e}")
+    try:
+        evals, basis = np.linalg.eigh((s + s_dag) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
+    feasible = evals[:, 0] >= 1e-12
+    evals = np.where(feasible[:, None], evals, 1.0)
+    inv_sqrt = (basis * (1.0 / np.sqrt(evals))[:, None, :]) @ basis.conj().swapaxes(-1, -2)
+    return vecs @ inv_sqrt.swapaxes(-1, -2), feasible
 
 
 def _see_saw_accessible(rhos, weights, start_vecs, tol):
-    """One see-saw restart; returns (value, vectors, sweeps, converged)."""
-    vecs = _symmetrize_vectors(start_vecs)
-    if vecs is None:
-        return -1.0, None, 0, False
+    """Every see-saw restart in lock-step from an ``(R, K, n)`` stack of
+    outcome vectors; returns ``_ascend``'s arrays with state ``(vecs, p)``."""
+    log_weights = np.log(np.maximum(weights, _LOG_FLOOR))[:, None]
+
+    def joint(vecs):
+        # p[r, x, y] = <v_y| rho_x |v_y>, rho_x sub-normalized
+        p = np.einsum("ryi,xij,ryj->rxy", vecs.conj(), rhos, vecs).real
+        return np.maximum(p, 0.0)
+
+    def evaluate(vecs):
+        vecs, feasible = _symmetrize_vectors(vecs)
+        p = joint(vecs)
+        return np.where(feasible, _mutual_info(p), -np.inf), (vecs, p)
 
     def direction(state):
         vecs, p = state
-        py = p.sum(axis=0)
+        py = p.sum(axis=1)
         logs = (
             np.log(np.maximum(p, _LOG_FLOOR))
-            - np.log(np.maximum(weights, _LOG_FLOOR))[:, None]
-            - np.log(np.maximum(py, _LOG_FLOOR))[None, :]
+            - log_weights
+            - np.log(np.maximum(py, _LOG_FLOOR))[:, None, :]
         )
         # two einsums: a fused three-operand one sums in another order
-        grad = np.einsum("xy,xij->yij", logs, rhos)
-        return np.einsum("yij,yj->yi", grad, vecs)
+        grad = np.einsum("rxy,xij->ryij", logs, rhos)
+        return (np.einsum("ryij,ryj->ryi", grad, vecs),)
 
-    def attempt(state, moved, step):
-        trial = _symmetrize_vectors(state[0] + step * moved)
-        if trial is None:
-            return None
-        p = _vectors_to_joint(rhos, trial)
-        return _mutual_info(p), (trial, p)
+    def attempt(state, move, step):
+        return evaluate(state[0] + step[:, None, None] * move[0])
 
-    p = _vectors_to_joint(rhos, vecs)
-    value, (vecs, _), sweeps, converged = _ascend(
-        _mutual_info(p), (vecs, p), direction, attempt, tol
-    )
-    return value, vecs, sweeps, converged
+    value, state = evaluate(start_vecs)
+    return _ascend(value, state, direction, attempt, tol)
 
 
 def accessible_info_opt(
@@ -212,8 +268,11 @@ def accessible_info_opt(
 
     Restart 0 starts from the projective measurement in the eigenbasis of
     the average state (exactly optimal for commuting ensembles); further
-    restarts use Haar frames of n^2 rank-one outcomes.  The returned POVM
-    is exactly complete and reproduces ``value`` through the Born rule.
+    restarts use Haar frames of n^2 rank-one outcomes.  All restarts run
+    in lock-step on one stack; restart 0 is padded with zero vectors,
+    which stay exactly zero, and its POVM keeps its n outcomes.  The
+    returned POVM is exactly complete and reproduces ``value`` through
+    the Born rule.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -221,23 +280,28 @@ def accessible_info_opt(
     _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     rhos = ensemble.sub_normalized()
     _, avg_basis = eig_hermitian(ensemble.average.op)
-    starts = [avg_basis.T.conj()] + [
+    spectral = np.zeros((n * n, n), dtype=complex)
+    spectral[:n] = avg_basis.T.conj()
+    starts = np.stack([spectral] + [
         HaarSampler(n, cfg.seed, stream_id=r).states(n * n)
         for r in range(1, cfg.restarts)
-    ]
-    (_, vecs, _, converged), iterations = _best_restart(
-        _see_saw_accessible(rhos, ensemble.weights, start, cfg.tol) for start in starts
+    ])
+    value, (vecs, _), sweeps, converged, step = _see_saw_accessible(
+        rhos, ensemble.weights, starts, cfg.tol
     )
+    row, iterations, records = _best_restart("spectral", value, sweeps, converged, step)
+    vecs = vecs[row, :n] if row == 0 else vecs[row]
     povm = Povm([HermitianOperator(np.outer(v, v.conj())) for v in vecs])
     value = mutual_information(born_joint(ensemble, povm))
-    return InfoResult(value=value, argmax=povm, iterations=iterations, converged=converged)
+    return InfoResult(value, povm, iterations, bool(converged[row]), records)
 
 
 def _row_divergences(prior: np.ndarray, channel: np.ndarray, log_channel: np.ndarray):
     """Relative entropy of each row p(.|x) of the channel to the output
-    distribution prior @ channel."""
-    out = prior @ channel
-    return (channel * (log_channel - np.log(np.maximum(out, _LOG_FLOOR))[None, :])).sum(axis=1)
+    distribution prior @ channel; leading axes stack channels."""
+    out = (prior[..., None, :] @ channel)[..., 0, :]
+    logs = log_channel - np.log(np.maximum(out, _LOG_FLOOR))[..., None, :]
+    return (channel * logs).sum(axis=-1)
 
 
 def _newton_step(prior, d, channel, best):
@@ -346,49 +410,57 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
     return prior, value, bool(d.max() - value < target)
 
 
-def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray) -> float:
+def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    # per row of a (R, K) prior stack and a (R, K, Y) channel stack
     log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
-    return float(prior @ _row_divergences(prior, channel, log_channel))
-
-
-def _ensemble_channel(states: np.ndarray, povm_stack: np.ndarray) -> np.ndarray:
-    b = np.einsum("xi,yij,xj->xy", states.conj(), povm_stack, states).real
-    return np.maximum(b, 0.0)
+    d = _row_divergences(prior, channel, log_channel)
+    return (prior[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def _power_restart(povm_stack, states, tol):
-    """Alternate the certified capacity prior with per-state gradient
-    ascent at fixed prior; returns (value, (states, prior), sweeps,
-    converged), converged only if the final prior is certified."""
+    """Every restart in lock-step from an ``(R, K, n)`` stack of states:
+    alternate the certified capacity prior (one solve per row) with state
+    gradient ascent at fixed prior.  Returns ``_ascend``'s arrays with
+    state ``(states, prior, certified)``; converged needs a certified prior."""
+
+    def channel_of(states):
+        b = np.einsum("rxi,yij,rxj->rxy", states.conj(), povm_stack, states).real
+        return np.maximum(b, 0.0)
+
+    def priors(channel, rows, warm):
+        # certified capacity prior of the listed rows; the others get -inf
+        value, prior = np.full(len(channel), -np.inf), np.empty(channel.shape[:2])
+        certified = np.zeros(len(channel), dtype=bool)
+        for r in rows:
+            prior[r], value[r], certified[r] = _capacity_prior(channel[r], tol, warm[r])
+        return value, prior, certified
 
     def direction(state):
         states, prior, _ = state
-        b = _ensemble_channel(states, povm_stack)
-        out = prior @ b
-        logs = np.log(np.maximum(b, _LOG_FLOOR)) - np.log(
-            np.maximum(out, _LOG_FLOOR)
-        )[None, :]
-        moved = np.einsum("xy,yij,xj->xi", logs, povm_stack, states)
+        b = channel_of(states)
+        out = prior[:, None, :] @ b
+        logs = np.log(np.maximum(b, _LOG_FLOOR)) - np.log(np.maximum(out, _LOG_FLOOR))
+        moved = np.einsum("rxy,yij,rxj->rxi", logs, povm_stack, states)
         return moved, _fixed_prior_information(prior, b)
 
     def attempt(state, move, step):
         states, prior, _ = state
         moved, fixed_value = move
-        trial = states + step * moved
-        norms = np.sqrt((np.abs(trial) ** 2).sum(axis=1, keepdims=True))
+        trial = states + step[:, None, None] * moved
+        norms = np.sqrt((np.abs(trial) ** 2).sum(axis=2, keepdims=True))
         trial = trial / np.maximum(norms, _LOG_FLOOR)
-        channel = _ensemble_channel(trial, povm_stack)
-        if _fixed_prior_information(prior, channel) <= fixed_value:
-            return None
+        channel = channel_of(trial)
         # re-optimize the prior only for state moves that pass at fixed prior
-        new_prior, value, certified = _capacity_prior(channel, tol, warm=prior)
-        return value, (trial, new_prior, certified)
+        rows = np.flatnonzero(_fixed_prior_information(prior, channel) > fixed_value)
+        value, prior, certified = priors(channel, rows, prior)
+        return value, (trial, prior, certified)
 
-    prior, value, certified = _capacity_prior(_ensemble_channel(states, povm_stack), tol)
-    value, (states, prior, certified), sweeps, converged = _ascend(
+    rows = range(len(states))
+    value, prior, certified = priors(channel_of(states), rows, [None] * len(states))
+    value, state, sweeps, converged, step = _ascend(
         value, (states, prior, certified), direction, attempt, tol
     )
-    return value, (states, prior), sweeps, converged and certified
+    return value, state, sweeps, converged & state[2], step
 
 
 def informational_power_opt(
@@ -401,9 +473,9 @@ def informational_power_opt(
     elements, further restarts with Haar states.  For each alphabet the
     prior is globally optimized by a certified Newton capacity solve, then
     the states follow the information gradient; ``converged`` also
-    requires the final prior's capacity certificate.  Restarts run one after
-    another in the calling thread: the sweeps hold the interpreter lock,
-    so worker threads would not speed them up.
+    requires the final prior's capacity certificate.  All restarts run in
+    lock-step in the calling thread: the gradient steps are stacked, the
+    capacity solves run one restart at a time.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -422,13 +494,15 @@ def informational_power_opt(
         vecs += [vecs[0]] * (k_cand - len(vecs))  # POVMs of fewer than n elements
         return np.array(vecs[:k_cand])
 
-    starts = [eigenvector_candidates()] + [
+    starts = np.stack([eigenvector_candidates()] + [
         HaarSampler(n, cfg.seed, stream_id=1000 + r).states(k_cand)
         for r in range(1, cfg.restarts)
-    ]
-    (_, (states, prior), _, converged), iterations = _best_restart(
-        _power_restart(stack, start, cfg.tol) for start in starts
+    ])
+    value, (states, prior, _), sweeps, converged, step = _power_restart(
+        stack, starts, cfg.tol
     )
+    row, iterations, records = _best_restart("eigenvector", value, sweeps, converged, step)
+    states, prior = states[row], prior[row]
 
     keep = prior > 1e-12
     weights = prior[keep] / prior[keep].sum()
@@ -437,9 +511,7 @@ def informational_power_opt(
     ]
     ensemble = Ensemble(members)
     value = mutual_information(born_joint(ensemble, povm))
-    return InfoResult(
-        value=value, argmax=ensemble, iterations=iterations, converged=converged
-    )
+    return InfoResult(value, ensemble, iterations, bool(converged[row]), records)
 
 
 def symmetric_upper_bound(ensemble: Ensemble) -> float:
@@ -449,10 +521,10 @@ def symmetric_upper_bound(ensemble: Ensemble) -> float:
     The inner minimum over normalized pure states is found by projected
     gradient descent on the unit sphere from 32 starts: the n basis
     vectors, the n eigenvectors of the average state, and Haar states
-    (seed 0, stream 2000) for the rest.  A descent stops after three
-    sweeps in a row that lower the objective by less than 1e-9, or after
-    300 sweeps.  Valid as an upper bound for ensembles averaging to the
-    maximally mixed state.
+    (seed 0, stream 2000) for the rest, run in lock-step as one stack.
+    A descent stops after three sweeps in a row that lower the objective
+    by less than 1e-9, or after 300 sweeps.  Valid as an upper bound for
+    ensembles averaging to the maximally mixed state.
     """
     n = ensemble.dim
     _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
@@ -460,27 +532,24 @@ def symmetric_upper_bound(ensemble: Ensemble) -> float:
     weights = ensemble.weights
 
     def overlaps(phi: np.ndarray) -> np.ndarray:
-        return np.einsum("i,xij,j->x", phi.conj(), sigmas, phi).real
+        return np.einsum("ri,xij,rj->rx", phi.conj(), sigmas, phi).real
 
-    def neg_objective(phi: np.ndarray) -> float:
+    def neg_objective(phi: np.ndarray) -> np.ndarray:
         u = np.clip(overlaps(phi), 0.0, None)
         vals = np.where(u > 0.0, -u * np.log(np.maximum(u, _LOG_FLOOR)), 0.0)
-        return -float(weights @ vals)
+        return -(vals @ weights)
 
-    def direction(phi: np.ndarray) -> np.ndarray:
+    def direction(state):
+        (phi,) = state
         coef = weights * (-(np.log(np.maximum(overlaps(phi), _LOG_FLOOR)) + 1.0))
-        grad = np.einsum("x,xij,j->i", coef, sigmas, phi)
-        grad -= np.vdot(phi, grad) * phi  # tangent projection
-        return grad
+        grad = np.einsum("rx,xij,rj->ri", coef, sigmas, phi)
+        grad -= np.einsum("ri,ri->r", phi.conj(), grad)[:, None] * phi  # tangent projection
+        return (grad,)
 
-    def attempt(phi, grad, step):
-        trial = phi - step * grad
-        trial = trial / np.linalg.norm(trial)
-        return neg_objective(trial), trial
-
-    def descend(phi: np.ndarray):
-        phi = phi / np.linalg.norm(phi)
-        return _ascend(neg_objective(phi), phi, direction, attempt, 1e-9)
+    def attempt(state, move, step):
+        trial = state[0] - step[:, None] * move[0]
+        trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+        return neg_objective(trial), (trial,)
 
     _, avg_basis = eig_hermitian(ensemble.average.op)
     starts = np.concatenate([
@@ -488,7 +557,8 @@ def symmetric_upper_bound(ensemble: Ensemble) -> float:
         avg_basis.T,
         HaarSampler(n, 0, stream_id=2000).states(_SYM_STARTS - 2 * n),
     ])
-    (neg_min, _, _, _), _ = _best_restart(descend(phi) for phi in starts)
+    phi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    neg_min = _ascend(neg_objective(phi), (phi,), direction, attempt, 1e-9)[0].max()
     return math.log(n) + n * neg_min
 
 

@@ -8,7 +8,10 @@ great-circle grid of projective measurements, and the constrained-entropy
 oracle walks the purity circle inside the 3-simplex.  The capacity
 reference is the iterative-scaling (Blahut-Arimoto) fixed point the
 library's capacity prior once used, kept with its stall rule so the
-Newton solver can be shown never to fall below it.
+Newton solver can be shown never to fall below it.  The scalar ascent and
+restart picker are the one-restart-at-a-time loop the optimizers ran
+before their restarts went into lock-step; the lock-step loop must take
+the same trials row by row.
 """
 
 from __future__ import annotations
@@ -198,3 +201,44 @@ def blahut_arimoto_prior(channel, tol: float, warm=None):
         scaled = prior * np.exp(d - d.max())
         prior = scaled / scaled.sum()
     return prior, value
+
+
+def ascend_scalar(value, state, direction, attempt, tol, max_sweeps: int = 300):
+    """One restart of the backtracking ascent, a trial at a time.
+
+    ``attempt(state, move, step)`` returns ``(value, state)`` or None for
+    an infeasible trial.  Returns ``(value, state, sweeps, converged,
+    step)``.
+    """
+    step = 0.2
+    strikes = 0
+    for sweep in range(1, max_sweeps + 1):
+        move = direction(state)
+        gained = 0.0
+        while step > 1e-14:
+            trial = attempt(state, move, step)
+            if trial is not None and trial[0] > value:
+                gained = trial[0] - value
+                value, state = trial
+                step = min(step * 1.3, 1e3)
+                break
+            step *= 0.4
+        strikes = strikes + 1 if gained < tol else 0
+        if strikes >= 3:
+            return value, state, sweep, True, step
+    return value, state, max_sweeps, False, step
+
+
+def best_restart_scalar(runs):
+    """Index of the first highest-value run with a feasible state, and
+    the sweeps summed over all runs; each run is ``(value, state, sweeps,
+    ...)`` with ``state`` None when the restart had no feasible start."""
+    best = None
+    sweeps = 0
+    for k, run in enumerate(runs):
+        sweeps += run[2]
+        if run[1] is not None and (best is None or run[0] > runs[best][0]):
+            best = k
+    if best is None:
+        raise ValueError("no feasible start")
+    return best, sweeps
