@@ -295,42 +295,3 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
     if -1e-12 < q < 0.0:
         q = 0.0
     return float(q)
-
-
-def subentropy_depolarized_derivative_form(
-    n: int, epsilon: float
-) -> tuple[float, float]:
-    """Subentropy of a depolarized pure state via the derivative identity.
-
-    Evaluates (n-2)!^-1 d^(n-2)/da^(n-2) [(a^n ln a - b^n ln b)/(b - a)]
-    through the multinomial expansion of the a-derivatives.  Returns
-    ``(value, correction)`` where ``correction = S_n ((n-1) a + b - 1)``
-    is the unit-trace term by which this route nominally differs from the
-    binomial-sum route; it vanishes identically (|correction| < 1e-12).
-    """
-    n = _checks.integer(n, "dimension n", 2)
-    # epsilon = 0 makes every eigenvalue equal, where this route divides by 0
-    epsilon = _checks.real(
-        epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError, lo_open=True
-    )
-    a = (1.0 - epsilon) / n
-    b = epsilon + a
-    c = epsilon  # b - a, exactly
-    harm = _harmonic(n)
-    sig_n = _sigma_tail(harm, n)
-
-    # d^(n-2)/da^(n-2) [b^n ln b / (b - a)] = (n-2)! b^n ln b / (b-a)^(n-1)
-    part_b = b**n * math.log(b) / c ** (n - 1)
-
-    part_a = 0.0
-    if a > 0.0:
-        log_a = math.log(a)
-        for k in range(2, n + 1):
-            inner = math.comb(n, k) * log_a
-            for j in range(1, n - 1):
-                inner -= math.comb(n, k + j) * (-1.0) ** j / j
-            part_a += a**k / c ** (k - 1) * inner
-
-    value = part_a - part_b
-    correction = sig_n * ((n - 1) * a + b - 1.0)
-    return float(value), float(correction)

@@ -133,8 +133,8 @@ def eig_hermitian(x: HermitianOperator | np.ndarray) -> tuple[Spectrum, np.ndarr
 class DensityOperator:
     """Positive-semidefinite unit-trace Hermitian operator.
 
-    The spectrum is computed once at construction (used for validation)
-    and cached on the instance.
+    The spectrum is computed once at construction (eigenvalues only, by
+    LAPACK ``eigvalsh``; used for validation) and cached on the instance.
     """
 
     __slots__ = ("op", "spectrum")
@@ -143,13 +143,16 @@ class DensityOperator:
         op = entries if isinstance(entries, HermitianOperator) else HermitianOperator(entries)
         if abs(op.trace - 1.0) > TOL_TRACE:
             raise ValidationError(f"trace is {op.trace!r}, must be 1 within 1e-10")
-        spec, _ = eig_hermitian(op)
-        if spec.values[-1] < -TOL_PSD:
+        try:
+            evals = np.linalg.eigvalsh(op.matrix)  # ascending
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"eigvalsh did not converge: {exc}") from exc
+        if evals[0] < -TOL_PSD:
             raise ValidationError(
-                f"matrix is not PSD: min eigenvalue {spec.values[-1]:.3e} < -1e-9"
+                f"matrix is not PSD: min eigenvalue {evals[0]:.3e} < -1e-9"
             )
         self.op: HermitianOperator = op
-        self.spectrum: Spectrum = Spectrum(spec.values, normalized=True)
+        self.spectrum: Spectrum = Spectrum(evals, normalized=True)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: the
 subentropy oracle integrates over the probability simplex with scipy
 quadrature, the rational-sum oracle evaluates the eigenvalue formula
-directly, accessible information for qubits is maximized on a dense
+directly, the derivative-form subentropy of a depolarized pure state
+differentiates the divided-difference identity term by term,
+accessible information for qubits is maximized on a dense
 great-circle grid of projective measurements, and the constrained-entropy
 oracle walks the purity circle inside the 3-simplex.  The capacity
 reference is the iterative-scaling (Blahut-Arimoto) fixed point the
@@ -20,6 +22,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from infopurity import EpsilonOutOfRangeError, _checks
 
 
 def subentropy_quadrature(values) -> float:
@@ -149,6 +153,44 @@ def sample_fixed_purity_spectra(n: int, purity: float, count: int, rng) -> np.nd
         lam = lam[(lam >= 0.0).all(axis=1)]
         out.extend(lam[: count - len(out)])
     return np.asarray(out)
+
+
+def subentropy_depolarized_derivative_form(
+    n: int, epsilon: float
+) -> tuple[float, float]:
+    """Subentropy of a depolarized pure state via the derivative identity.
+
+    Evaluates (n-2)!^-1 d^(n-2)/da^(n-2) [(a^n ln a - b^n ln b)/(b - a)]
+    through the multinomial expansion of the a-derivatives.  Returns
+    ``(value, correction)`` where ``correction = S_n ((n-1) a + b - 1)``
+    is the unit-trace term by which this route nominally differs from the
+    binomial-sum route; it vanishes identically (|correction| < 1e-12).
+    """
+    n = _checks.integer(n, "dimension n", 2)
+    # epsilon = 0 makes every eigenvalue equal, where this route divides by 0
+    epsilon = _checks.real(
+        epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError, lo_open=True
+    )
+    a = (1.0 - epsilon) / n
+    b = epsilon + a
+    c = epsilon  # b - a, exactly
+    sig_n = sum(1.0 / j for j in range(2, n + 1))  # H_n - 1
+
+    # d^(n-2)/da^(n-2) [b^n ln b / (b - a)] = (n-2)! b^n ln b / (b-a)^(n-1)
+    part_b = b**n * math.log(b) / c ** (n - 1)
+
+    part_a = 0.0
+    if a > 0.0:
+        log_a = math.log(a)
+        for k in range(2, n + 1):
+            inner = math.comb(n, k) * log_a
+            for j in range(1, n - 1):
+                inner -= math.comb(n, k + j) * (-1.0) ** j / j
+            part_a += a**k / c ** (k - 1) * inner
+
+    value = part_a - part_b
+    correction = sig_n * ((n - 1) * a + b - 1.0)
+    return float(value), float(correction)
 
 
 def random_density_matrix(n: int, rng) -> np.ndarray:

@@ -29,7 +29,6 @@ from infopurity import (
     purity_for_epsilon,
     subentropy,
     subentropy_depolarized,
-    subentropy_depolarized_derivative_form,
     extremal_renyi_at_purity,
 )
 from infopurity.cli import curve_csv_text
@@ -38,6 +37,7 @@ from _oracles import (
     random_density_matrix,
     renyi_extrema_grid_3,
     sample_fixed_purity_spectra,
+    subentropy_depolarized_derivative_form,
 )
 
 EPS_GRID = [round(0.1 * k, 1) for k in range(1, 11)]  # 0.1 .. 1.0

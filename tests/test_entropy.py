@@ -15,13 +15,13 @@ from infopurity import (
     shannon_entropy,
     subentropy,
     subentropy_depolarized,
-    subentropy_depolarized_derivative_form,
     von_neumann_entropy,
 )
 from infopurity.operators import depolarize, purity
 
 from _oracles import (
     random_density_matrix,
+    subentropy_depolarized_derivative_form,
     subentropy_quadrature,
     subentropy_rational_sum,
 )

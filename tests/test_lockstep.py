@@ -6,7 +6,10 @@ exactly the trials that the one-restart-at-a-time loop in ``_oracles``
 takes on that row alone: the tests below record each lock-step call,
 replay its rows through the scalar loop and compare sweeps, flags, final
 steps and values.  They also cover the infeasible-row path, the zero
-padding of the spectral restart and the per-restart records.
+padding of the spectral restart and the per-restart records.  Commuting
+ensembles take the certified exits of ``accessible_info_opt`` and
+``symmetric_upper_bound`` before any ascent, so their rows are driven
+through the see-saw and descent routines directly.
 """
 
 import math
@@ -25,10 +28,14 @@ from infopurity import (
     eig_hermitian,
     informational_power_opt,
     optimal_commuting_ensemble,
-    symmetric_upper_bound,
 )
-from infopurity import infomeasures
-from infopurity.infomeasures import _best_restart, _see_saw_accessible, _symmetrize_vectors
+from infopurity.infomeasures import (
+    _best_restart,
+    _see_saw_accessible,
+    _see_saw_restarts,
+    _symmetric_descent,
+    _symmetrize_vectors,
+)
 from infopurity.montecarlo import HaarSampler
 
 from _oracles import ascend_scalar, best_restart_scalar, random_density_matrix
@@ -37,24 +44,6 @@ from _oracles import ascend_scalar, best_restart_scalar, random_density_matrix
 def random_ensemble(n, size, rng):
     weights = rng.dirichlet(np.ones(size))
     return Ensemble([(w, random_density_matrix(n, rng)) for w in weights])
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Every ``_ascend`` call as (start value, start state, direction,
-    attempt, tol, result); the start is copied because the ascent
-    updates its state in place."""
-    recorded = []
-    real = infomeasures._ascend
-
-    def spy(value, state, direction, attempt, tol):
-        start = (np.array(value, dtype=float), tuple(part.copy() for part in state))
-        out = real(value, state, direction, attempt, tol)
-        recorded.append((*start, direction, attempt, tol, out))
-        return out
-
-    monkeypatch.setattr(infomeasures, "_ascend", spy)
-    return recorded
 
 
 def _row(parts, r):
@@ -118,7 +107,9 @@ def test_see_saw_rows_match_scalar(calls, n, size, seed):
     ids=["commuting-2", "commuting-3", "random-3"],
 )
 def test_symmetric_bound_rows_match_scalar(calls, ensemble):
-    symmetric_upper_bound(ensemble)
+    sigmas = np.stack([s.matrix for s in ensemble.states])
+    _, avg_basis = eig_hermitian(ensemble.average.op)
+    _symmetric_descent(sigmas, ensemble.weights, avg_basis)
     assert len(calls) == 1
     assert calls[0][0].size == 32
     assert_rows_match(calls[0])
@@ -171,11 +162,16 @@ def test_all_rows_rank_deficient_raises():
 
 @pytest.mark.parametrize("n, purity", [(2, 0.7), (3, 0.5), (4, 0.4)])
 def test_spectral_restart_keeps_n_outcomes(calls, n, purity):
-    res = accessible_info_opt(optimal_commuting_ensemble(n, purity))
-    assert len(res.argmax) == n
+    ensemble = optimal_commuting_ensemble(n, purity)
+    _, avg_basis = eig_hermitian(ensemble.average.op)
+    best, _, _, records = _see_saw_restarts(ensemble, avg_basis, OptimizerConfig())
+    values = [rec.value for rec in records]
+    assert values.index(max(values)) == 0  # the spectral restart wins
+    assert len(best) == n
     vecs = calls[0][-1][1][0]
     assert vecs.shape[1] == n * n
     assert not vecs[0, n:].any()  # the padding stays exactly zero
+    assert len(accessible_info_opt(ensemble).argmax) == n
 
 
 def test_haar_restart_win_keeps_n_squared_outcomes():

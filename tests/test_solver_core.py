@@ -7,18 +7,23 @@ streams visible, even when the optimum itself would still be reached.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infopurity
 from infopurity import (
+    OptimizerConfig,
     accessible_info_opt,
     depolarized_scrooge_povm,
+    eig_hermitian,
     informational_power_opt,
     optimal_commuting_ensemble,
     symmetric_upper_bound,
 )
+from infopurity.infomeasures import _see_saw_restarts, _symmetric_descent
 
 PACKAGE = Path(infopurity.__file__).parent
 
@@ -32,9 +37,22 @@ PACKAGE = Path(infopurity.__file__).parent
     ],
 )
 def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
+    # the see-saw and the descent that the certified exits skip on these
+    # commuting ensembles, from the starts the public calls would use
     ensemble = optimal_commuting_ensemble(n, purity)
+    _, avg_basis = eig_hermitian(ensemble.average.op)
+    _, iterations, converged, records = _see_saw_restarts(
+        ensemble, avg_basis, OptimizerConfig()
+    )
+    assert iterations == sweeps
+    assert converged is True
+    assert max(rec.value for rec in records) == pytest.approx(value, abs=1e-12)
+    sigmas = np.stack([s.matrix for s in ensemble.states])
+    descent = math.log(n) + n * _symmetric_descent(sigmas, ensemble.weights, avg_basis)
+    assert descent == pytest.approx(sym_value, abs=1e-12)
+
     res = accessible_info_opt(ensemble)
-    assert res.iterations == sweeps
+    assert res.iterations == 0
     assert res.converged is True
     assert res.value == pytest.approx(value, abs=1e-12)
     assert symmetric_upper_bound(ensemble) == pytest.approx(sym_value, abs=1e-12)
