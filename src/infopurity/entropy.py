@@ -15,6 +15,7 @@ import numpy as np
 from . import _checks
 from .errors import (
     AlphaOutOfRangeError,
+    DimensionTooLargeError,
     EpsilonOutOfRangeError,
     NotNormalizedError,
     ValidationError,
@@ -272,26 +273,29 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
-    if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
-        q = _depolarized_series(n, epsilon)
-    else:
-        a = (1.0 - epsilon) / n
-        b = epsilon + a
-        c = epsilon  # b - a, exactly
-        harm = _harmonic(n)
-        sig_n = _sigma_tail(harm, n)
-        total = -sig_n
-        if a > 0.0:
-            log_a = math.log(a)
-            for k in range(2, n + 1):
-                total += (
-                    math.comb(n, k)
-                    * a**k
-                    * (log_a - _sigma_tail(harm, k))
-                    / c ** (k - 1)
-                )
-        total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)
-        q = total
+    try:
+        if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
+            q = _depolarized_series(n, epsilon)
+        else:
+            a = (1.0 - epsilon) / n
+            b = epsilon + a
+            c = epsilon  # b - a, exactly
+            harm = _harmonic(n)
+            sig_n = _sigma_tail(harm, n)
+            total = -sig_n
+            if a > 0.0:
+                log_a = math.log(a)
+                for k in range(2, n + 1):
+                    total += (
+                        math.comb(n, k)
+                        * a**k
+                        * (log_a - _sigma_tail(harm, k))
+                        / c ** (k - 1)
+                    )
+            total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)
+            q = total
+    except OverflowError as exc:
+        raise DimensionTooLargeError(f"n = {n} overflows float64") from exc
     if -1e-12 < q < 0.0:
         q = 0.0
     return float(q)

@@ -46,7 +46,7 @@ class CountTooSmallError(InfopurityError, ValueError):
 
 
 class DimensionTooLargeError(InfopurityError, ValueError):
-    """Numerical optimizers are limited to dimension <= 8."""
+    """Dimension beyond reach: optimizers stop at 8, closed forms at float64 overflow."""
 
 
 class NoFeasibleCandidateError(InfopurityError, RuntimeError):

@@ -4,7 +4,8 @@ JSON-compatible structured text; complex matrices are stored as separate
 real and imaginary n x n arrays.  Numbers are written with 17 significant
 digits so decode(encode(x)) round-trips float64 exactly, and objects are
 serialized with fixed key order so identical inputs give byte-identical
-files.
+files.  One writer serves both file kinds: it fills a text template of the
+fixed layout with every number of the matrix stack in one pass.
 """
 
 from __future__ import annotations
@@ -18,56 +19,30 @@ from .errors import InfopurityError, ValidationError
 from .operators import DensityOperator, Ensemble, HermitianOperator, Povm
 
 
-def _format_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _dump(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(k)}: {_dump(v, indent + 2)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_format_number(v) for v in obj) + "]"
-        parts = [f"{inner}{_dump(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    return _format_number(obj)
-
-
-def _matrix_fields(matrix: np.ndarray) -> dict:
-    return {
-        "matrix_re": [list(map(float, row)) for row in matrix.real],
-        "matrix_im": [list(map(float, row)) for row in matrix.imag],
-    }
+def _write(dim: int, key: str, matrices: np.ndarray, weights=None) -> str:
+    """File text of a ``(K, dim, dim)`` complex stack under ``key``, each
+    entry led by its weight if ``weights`` is given; "%.17g" is format(x, ".17g")."""
+    rows = ",\n".join(["        [" + ", ".join(["%.17g"] * dim) + "]"] * dim)
+    block = f"[\n{rows}\n      ]"
+    count = len(matrices)
+    columns = [matrices.real.reshape(count, -1), matrices.imag.reshape(count, -1)]
+    head = "    {\n"
+    if weights is not None:
+        head += '      "weight": %.17g,\n'
+        columns.insert(0, weights[:, None])
+    entry = f'{head}      "matrix_re": {block},\n      "matrix_im": {block}\n    }}'
+    # one small % per entry: a single % over the whole file grows the heap
+    body = ",\n".join([entry % tuple(v) for v in np.hstack(columns).tolist()])
+    return f'{{\n  "dim": {dim},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 
 def encode_ensemble(ensemble: Ensemble) -> str:
-    states = []
-    for w, s in ensemble.items:
-        entry = {"weight": float(w)}
-        entry.update(_matrix_fields(s.matrix))
-        states.append(entry)
-    return _dump({"dim": ensemble.dim, "states": states}) + "\n"
+    matrices = np.stack([s.matrix for s in ensemble.states])
+    return _write(ensemble.dim, "states", matrices, ensemble.weights)
 
 
 def encode_povm(povm: Povm) -> str:
-    elements = [_matrix_fields(e.matrix) for e in povm.elements]
-    return _dump({"dim": povm.dim, "elements": elements}) + "\n"
+    return _write(povm.dim, "elements", povm.stack())
 
 
 def _require(data, key: str):

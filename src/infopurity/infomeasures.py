@@ -355,19 +355,27 @@ def _newton_step(prior, d, channel, best):
     """
     q = prior @ channel
     live = q > 0.0
+    dead = None if live.all() else ~live
     free = prior > 0.0
     free[best] = True
     while True:
         idx = np.flatnonzero(free)
         m = idx.size
-        rows = channel[idx]
-        if m < 2 or rows[:, ~live].any():
+        if m < 2:
             return None
-        h = (rows[:, live] / q[live]) @ rows[:, live].T
+        rows = channel[idx]
+        if dead is not None and rows[:, dead].any():
+            return None
+        # the column gather's Fortran-ordered copy fixes the BLAS path of h
+        rows = rows[:, live]
+        h = (rows / q[live]) @ rows.T
         kkt = np.ones((m + 1, m + 1))
-        kkt[:m, :m] = h + (1e-9 * np.trace(h) / m) * np.eye(m)
+        kkt[:m, :m] = h
+        kkt.flat[: m * (m + 2) : m + 2] += 1e-9 * np.trace(h) / m
         kkt[m, m] = 0.0
-        step = np.linalg.solve(kkt, np.append(d[idx], 0.0))[:m]
+        rhs = np.zeros(m + 1)
+        rhs[:m] = d[idx]
+        step = np.linalg.solve(kkt, rhs)[:m]
         leave = (prior[idx] == 0.0) & (step < 0.0)
         if not leave.any():
             break
@@ -448,22 +456,34 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
     return prior, value, bool(d.max() - value < target)
 
 
-def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    # per row of a (R, K) prior stack and a (R, K, Y) channel stack
-    log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
-    d = _row_divergences(prior, channel, log_channel)
-    return (prior[:, None, :] @ d[:, :, None])[:, 0, 0]
+def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray):
+    # per row of a (R, K) prior stack and a (R, K, Y) channel stack, with
+    # the log-ratios log p(y|x) - log q(y) that its divergences sum
+    out = prior[:, None, :] @ channel
+    logs = np.log(np.maximum(channel, _LOG_FLOOR)) - np.log(np.maximum(out, _LOG_FLOOR))
+    d = (channel * logs).sum(axis=-1)
+    return (prior[:, None, :] @ d[:, :, None])[:, 0, 0], logs
+
+
+def _power_channel(flat, states):
+    """b[r, x, y] = <s_x| E_y |s_x>, floored at 0, for an ``(R, K, n)``
+    state stack and the POVM flattened to ``(Y, n^2)``."""
+    outer = states.conj()[..., :, None] * states[..., None, :]
+    return np.maximum((outer.reshape(*states.shape[:-1], -1) @ flat.T).real, 0.0)
+
+
+def _power_gradient(flat, logs, states):
+    """sum_y logs[r, x, y] E_y |s_x> for an ``(R, K, Y)`` weight stack."""
+    return ((logs @ flat).reshape(*states.shape, -1) @ states[..., None])[..., 0]
 
 
 def _power_restart(povm_stack, states, tol):
     """Every restart in lock-step from an ``(R, K, n)`` stack of states:
     alternate the certified capacity prior (one solve per row) with state
     gradient ascent at fixed prior.  Returns ``_ascend``'s arrays with
-    state ``(states, prior, certified)``; converged needs a certified prior."""
-
-    def channel_of(states):
-        b = np.einsum("rxi,yij,rxj->rxy", states.conj(), povm_stack, states).real
-        return np.maximum(b, 0.0)
+    state ``(states, prior, certified, channel)``, the channel built once
+    per trial for the next gradient; converged needs a certified prior."""
+    flat = povm_stack.reshape(len(povm_stack), -1)
 
     def priors(channel, rows, warm):
         # certified capacity prior of the listed rows; the others get -inf
@@ -474,29 +494,26 @@ def _power_restart(povm_stack, states, tol):
         return value, prior, certified
 
     def direction(state):
-        states, prior, _ = state
-        b = channel_of(states)
-        out = prior[:, None, :] @ b
-        logs = np.log(np.maximum(b, _LOG_FLOOR)) - np.log(np.maximum(out, _LOG_FLOOR))
-        moved = np.einsum("rxy,yij,rxj->rxi", logs, povm_stack, states)
-        return moved, _fixed_prior_information(prior, b)
+        states, prior, _, channel = state
+        fixed_value, logs = _fixed_prior_information(prior, channel)
+        return _power_gradient(flat, logs, states), fixed_value
 
     def attempt(state, move, step):
-        states, prior, _ = state
+        states, prior, _, _ = state
         moved, fixed_value = move
         trial = states + step[:, None, None] * moved
         norms = np.sqrt((np.abs(trial) ** 2).sum(axis=2, keepdims=True))
         trial = trial / np.maximum(norms, _LOG_FLOOR)
-        channel = channel_of(trial)
+        channel = _power_channel(flat, trial)
         # re-optimize the prior only for state moves that pass at fixed prior
-        rows = np.flatnonzero(_fixed_prior_information(prior, channel) > fixed_value)
+        rows = np.flatnonzero(_fixed_prior_information(prior, channel)[0] > fixed_value)
         value, prior, certified = priors(channel, rows, prior)
-        return value, (trial, prior, certified)
+        return value, (trial, prior, certified, channel)
 
-    rows = range(len(states))
-    value, prior, certified = priors(channel_of(states), rows, [None] * len(states))
+    channel = _power_channel(flat, states)
+    value, prior, certified = priors(channel, range(len(states)), [None] * len(states))
     value, state, sweeps, converged, step = _ascend(
-        value, (states, prior, certified), direction, attempt, tol
+        value, (states, prior, certified, channel), direction, attempt, tol
     )
     return value, state, sweeps, converged & state[2], step
 
@@ -536,7 +553,7 @@ def informational_power_opt(
         HaarSampler(n, cfg.seed, stream_id=1000 + r).states(k_cand)
         for r in range(1, cfg.restarts)
     ])
-    value, (states, prior, _), sweeps, converged, step = _power_restart(
+    value, (states, prior, _, _), sweeps, converged, step = _power_restart(
         stack, starts, cfg.tol
     )
     row, iterations, records = _best_restart("eigenvector", value, sweeps, converged, step)

@@ -27,6 +27,7 @@ from .entropy import subentropy_depolarized, xlnx
 from .errors import (
     AlphaOutOfRangeError,
     CountTooSmallError,
+    DimensionTooLargeError,
     EpsilonOutOfRangeError,
     InvalidKError,
     NoFeasibleCandidateError,
@@ -348,8 +349,11 @@ def min_power_haar_integral(n: int, epsilon: float) -> float:
         # antiderivatives compose through the affine map g(x) = c x + a
         return _eta_antiderivative(m, c * x + a) / c**m
 
-    integral = f_anti(n - 1, 1.0)
-    for k in range(2, n + 1):
-        integral -= f_anti(k - 1, 0.0) / math.factorial(n - k)
-    integral *= math.factorial(n - 1)
+    try:
+        integral = f_anti(n - 1, 1.0)
+        for k in range(2, n + 1):
+            integral -= f_anti(k - 1, 0.0) / math.factorial(n - k)
+        integral *= math.factorial(n - 1)
+    except OverflowError as exc:
+        raise DimensionTooLargeError(f"n = {n} overflows float64") from exc
     return math.log(n) - n * integral

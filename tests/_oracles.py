@@ -13,7 +13,9 @@ library's capacity prior once used, kept with its stall rule so the
 Newton solver can be shown never to fall below it.  The scalar ascent and
 restart picker are the one-restart-at-a-time loop the optimizers ran
 before their restarts went into lock-step; the lock-step loop must take
-the same trials row by row.
+the same trials row by row.  The einsum kernels and the Newton step are
+the power optimizer's earlier channel, gradient and KKT solve: the matmul
+kernels must agree with them to roundoff, the Newton step bit for bit.
 """
 
 from __future__ import annotations
@@ -284,3 +286,41 @@ def best_restart_scalar(runs):
     if best is None:
         raise ValueError("no feasible start")
     return best, sweeps
+
+
+def power_channel_einsum(povm_stack, states):
+    """b[r, x, y] = <s_x| E_y |s_x>, floored at 0, by one einsum."""
+    b = np.einsum("rxi,yij,rxj->rxy", states.conj(), povm_stack, states).real
+    return np.maximum(b, 0.0)
+
+
+def power_gradient_einsum(povm_stack, logs, states):
+    """sum_y logs[r, x, y] E_y |s_x> by one einsum."""
+    return np.einsum("rxy,yij,rxj->rxi", logs, povm_stack, states)
+
+
+def newton_step_reference(prior, d, channel, best):
+    """The capacity prior's Newton step as first written: the free set's
+    KKT system [[H + mu I, 1], [1^T, 0]] rebuilt and solved per pass."""
+    q = prior @ channel
+    live = q > 0.0
+    free = prior > 0.0
+    free[best] = True
+    while True:
+        idx = np.flatnonzero(free)
+        m = idx.size
+        rows = channel[idx]
+        if m < 2 or rows[:, ~live].any():
+            return None
+        h = (rows[:, live] / q[live]) @ rows[:, live].T
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = h + (1e-9 * np.trace(h) / m) * np.eye(m)
+        kkt[m, m] = 0.0
+        step = np.linalg.solve(kkt, np.append(d[idx], 0.0))[:m]
+        leave = (prior[idx] == 0.0) & (step < 0.0)
+        if not leave.any():
+            break
+        free[idx[leave]] = False
+    full = np.zeros_like(prior)
+    full[idx] = step
+    return full

@@ -4,7 +4,9 @@
 fixed channel ``channel[x, y] = p(y|x)`` with a certificate: the gap
 max_x D(W_x || pW) - I(p) bounds the capacity minus the returned value
 from above.  Closed-form capacities pin the value; the Blahut-Arimoto
-reference in ``_oracles`` is a floor the solver must always reach.
+reference in ``_oracles`` is a floor the solver must always reach.  The
+Newton step as first written, also in ``_oracles``, must agree with every
+step of the solver bit for bit.
 """
 
 import math
@@ -14,9 +16,9 @@ import pytest
 
 from infopurity import depolarized_scrooge_povm, informational_power_opt
 from infopurity import infomeasures
-from infopurity.infomeasures import _capacity_prior
+from infopurity.infomeasures import _capacity_prior, _newton_step
 
-from _oracles import _joint_information, blahut_arimoto_prior
+from _oracles import _joint_information, blahut_arimoto_prior, newton_step_reference
 
 LN2 = math.log(2.0)
 
@@ -146,3 +148,64 @@ def test_capped_solve_reports_unconverged(monkeypatch):
     monkeypatch.setattr(infomeasures, "_PRIOR_ITERS", 0)
     res = informational_power_opt(povm)
     assert res.converged is False
+
+
+def _same(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.tobytes() == b.tobytes()
+    )
+
+
+def _assert_matches_reference(monkeypatch, channel, warm=None, tol=1e-9):
+    # every Newton step equals the reference's on the same input, and the
+    # solve equals a solve that runs on the reference throughout
+    channel = np.asarray(channel, dtype=float)
+    warm = None if warm is None else np.asarray(warm, dtype=float)
+    calls = []
+
+    def checked(prior, d, channel, best):
+        step = _newton_step(prior, d, channel, best)
+        assert _same(step, newton_step_reference(prior, d, channel, best))
+        calls.append(step is None)
+        return step
+
+    monkeypatch.setattr(infomeasures, "_newton_step", checked)
+    prior, value, certified = _capacity_prior(channel, tol, warm)
+    monkeypatch.setattr(infomeasures, "_newton_step", newton_step_reference)
+    ref_prior, ref_value, ref_certified = _capacity_prior(channel, tol, warm)
+    assert prior.tobytes() == ref_prior.tobytes()
+    assert (value, certified) == (ref_value, ref_certified)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "channel, warm",
+    [pytest.param(p.values[0], None, id=p.id) for p in CLOSED_FORM]
+    + [pytest.param(p.values[0], p.values[1], id=p.id) for p in WARM],
+)
+def test_newton_step_matches_reference(monkeypatch, channel, warm):
+    _assert_matches_reference(monkeypatch, channel, warm)
+
+
+@pytest.mark.parametrize("letters", [4, 9])
+def test_newton_step_matches_reference_on_random_channels(monkeypatch, letters):
+    # 500 channels per alphabet size; some have an output only one letter
+    # reaches, and warm starts zero some letters (that one included).  At 64
+    # outputs the Hessian's BLAS path shows in the last bits: a C-ordered
+    # copy of the free rows fails here
+    rng = np.random.default_rng(letters)
+    calls = []
+    for k in range(500):
+        channel = rng.dirichlet(np.full(64, 0.5), size=letters)
+        warm = None
+        if k % 2:
+            warm = rng.dirichlet(np.ones(letters))
+            warm[rng.choice(letters, size=letters // 2, replace=False)] = 0.0
+        if k % 3 == 0:
+            channel[1:, -1] = 0.0
+            channel /= channel.sum(axis=1, keepdims=True)
+            if warm is not None:
+                warm[0] = 0.0
+        calls += _assert_matches_reference(monkeypatch, channel, warm)
+    # both branches ran: Newton steps and refusals
+    assert 0 < sum(calls) < len(calls)

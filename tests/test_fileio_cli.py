@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from infopurity import Ensemble, Povm, ValidationError, pure_state_density
 from infopurity.cli import curve_csv_text, main
 from infopurity.fileio import (
+    _write,
     decode_ensemble,
     decode_povm,
     encode_ensemble,
@@ -95,6 +97,204 @@ class TestPovmCodec:
         }
         with pytest.raises(ValidationError):
             decode_povm(json.dumps(bad))
+
+
+# Encoder output of the parent writer, recorded byte for byte: n = 2 and 3,
+# a -0.0 entry ("-0"), integer-valued entries ("1", "0"), 17-digit and
+# exponent-form numbers and non-trivial weights.
+R3 = math.sqrt(3.0)
+GOLDEN_POVMS = {
+    2: [
+        [[2 / 3, 0.0], [0.0, 0.0]],
+        [[1 / 6, -1j * R3 / 6], [1j * R3 / 6, 0.5]],
+        [[1 / 6, 1j * R3 / 6], [-1j * R3 / 6, 0.5]],
+    ],
+    # the Hermitian part keeps the sign of the real -0.0 at [0, 1]
+    3: [
+        [[1.0, complex(-0.0, -0.0), 0.0], [complex(-0.0, 0.0), 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.5, -0.5j], [0.0, 0.5j, 0.5]],
+        [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5j], [0.0, -0.5j, 0.5]],
+    ],
+}
+GOLDEN_ENSEMBLES = {
+    2: [
+        (0.3, [[0.75, 0.25 - 0.1j], [0.25 + 0.1j, 0.25]]),
+        (0.7, [[0.5, complex(0.5, -0.0)], [0.5, 0.5]]),
+    ],
+    3: [
+        (1 / 3, np.eye(3) / 3),
+        (2 / 3, [[0.5, 0.0, 0.25j], [0.0, 0.25, 1e-17], [-0.25j, 1e-17, 0.25]]),
+    ],
+}
+GOLDEN_POVM_TEXT = {
+    2: """\
+{
+  "dim": 2,
+  "elements": [
+    {
+      "matrix_re": [
+        [0.66666666666666663, 0],
+        [0, 0]
+      ],
+      "matrix_im": [
+        [0, 0],
+        [0, 0]
+      ]
+    },
+    {
+      "matrix_re": [
+        [0.16666666666666666, 0],
+        [0, 0.5]
+      ],
+      "matrix_im": [
+        [0, -0.28867513459481287],
+        [0.28867513459481287, 0]
+      ]
+    },
+    {
+      "matrix_re": [
+        [0.16666666666666666, 0],
+        [0, 0.5]
+      ],
+      "matrix_im": [
+        [0, 0.28867513459481287],
+        [-0.28867513459481287, 0]
+      ]
+    }
+  ]
+}
+""",
+    3: """\
+{
+  "dim": 3,
+  "elements": [
+    {
+      "matrix_re": [
+        [1, -0, 0],
+        [0, 0, 0],
+        [0, 0, 0]
+      ],
+      "matrix_im": [
+        [0, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0]
+      ]
+    },
+    {
+      "matrix_re": [
+        [0, 0, 0],
+        [0, 0.5, 0],
+        [0, 0, 0.5]
+      ],
+      "matrix_im": [
+        [0, 0, 0],
+        [0, 0, -0.5],
+        [0, 0.5, 0]
+      ]
+    },
+    {
+      "matrix_re": [
+        [0, 0, 0],
+        [0, 0.5, 0],
+        [0, 0, 0.5]
+      ],
+      "matrix_im": [
+        [0, 0, 0],
+        [0, 0, 0.5],
+        [0, -0.5, 0]
+      ]
+    }
+  ]
+}
+""",
+}
+GOLDEN_ENSEMBLE_TEXT = {
+    2: """\
+{
+  "dim": 2,
+  "states": [
+    {
+      "weight": 0.29999999999999999,
+      "matrix_re": [
+        [0.75, 0.25],
+        [0.25, 0.25]
+      ],
+      "matrix_im": [
+        [0, -0.10000000000000001],
+        [0.10000000000000001, 0]
+      ]
+    },
+    {
+      "weight": 0.69999999999999996,
+      "matrix_re": [
+        [0.5, 0.5],
+        [0.5, 0.5]
+      ],
+      "matrix_im": [
+        [0, -0],
+        [0, 0]
+      ]
+    }
+  ]
+}
+""",
+    3: """\
+{
+  "dim": 3,
+  "states": [
+    {
+      "weight": 0.33333333333333331,
+      "matrix_re": [
+        [0.33333333333333331, 0, 0],
+        [0, 0.33333333333333331, 0],
+        [0, 0, 0.33333333333333331]
+      ],
+      "matrix_im": [
+        [0, 0, 0],
+        [0, 0, 0],
+        [0, 0, 0]
+      ]
+    },
+    {
+      "weight": 0.66666666666666663,
+      "matrix_re": [
+        [0.5, 0, 0],
+        [0, 0.25, 1.0000000000000001e-17],
+        [0, 1.0000000000000001e-17, 0.25]
+      ],
+      "matrix_im": [
+        [0, 0, 0.25],
+        [0, 0, 0],
+        [-0.25, 0, 0]
+      ]
+    }
+  ]
+}
+""",
+}
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_povm_bytes(self, n):
+        assert encode_povm(Povm(GOLDEN_POVMS[n])) == GOLDEN_POVM_TEXT[n]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ensemble_bytes(self, n):
+        assert encode_ensemble(Ensemble(GOLDEN_ENSEMBLES[n])) == GOLDEN_ENSEMBLE_TEXT[n]
+
+    def test_numbers_format_as_17g(self):
+        # random bit patterns: subnormals, huge and tiny exponents, both signs
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2**64, size=(2000, 2), dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values).all(axis=1)]
+        values[:4] = [[0.0, -0.0], [1.0, -2.0], [5e-324, 1e300], [0.1, 2**53]]
+        stack = np.empty((len(values), 1, 1), dtype=complex)
+        stack.real[:, 0, 0], stack.imag[:, 0, 0] = values.T
+        text = _write(1, "elements", stack)
+        rows = re.findall(r"\[([^\[\]]+)\]", text)
+        assert rows == [format(x, ".17g") for x in values.ravel().tolist()]
 
 
 class TestCurveCommand:

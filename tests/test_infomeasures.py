@@ -7,6 +7,7 @@ from infopurity import (
     DensityOperator,
     DimensionTooLargeError,
     Ensemble,
+    HaarSampler,
     OptimizerConfig,
     Povm,
     accessible_info_opt,
@@ -24,8 +25,11 @@ from infopurity import (
     pure_state_density,
     symmetric_upper_bound,
 )
+from infopurity.infomeasures import _power_channel, _power_gradient
 
 from _oracles import (
+    power_channel_einsum,
+    power_gradient_einsum,
     qubit_projective_grid_max,
     random_density_matrix,
     random_symmetrized_povm,
@@ -171,6 +175,19 @@ class TestInformationalPowerOpt:
             ens = distorted_ensemble(m, DensityOperator(np.eye(2, dtype=complex) / 2))
             a = accessible_info_opt(ens).value
             assert w >= a - 1e-9
+
+    @pytest.mark.parametrize("n, count", [(2, 16), (2, 64), (2, 256), (3, 27), (3, 81)])
+    def test_matmul_kernels_match_einsum(self, n, count):
+        stack = depolarized_scrooge_povm(n, 0.9, count, seed=count).stack()
+        flat = stack.reshape(count, -1)
+        states = np.stack([HaarSampler(n, 0, stream_id=r).states(n * n) for r in range(4)])
+        channel = _power_channel(flat, states)
+        ref = power_channel_einsum(stack, states)
+        assert np.abs(channel - ref).max() <= 1e-15 * np.abs(ref).max()
+        logs = np.log(np.maximum(channel, 1e-300)) - np.log(channel.mean(axis=1, keepdims=True))
+        grad = _power_gradient(flat, logs, states)
+        ref = power_gradient_einsum(stack, logs, states)
+        assert np.abs(grad - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestSymmetricUpperBound:

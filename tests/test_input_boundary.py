@@ -23,6 +23,7 @@ from infopurity import (
     AlphaOutOfRangeError,
     ConfluentNodeSet,
     CountTooSmallError,
+    DimensionTooLargeError,
     Ensemble,
     EpsilonOutOfRangeError,
     HaarSampler,
@@ -39,8 +40,10 @@ from infopurity import (
     elementary_symmetric2,
     extremal_renyi_at_purity,
     harmonic_tail,
+    max_subentropy_at_purity,
     mc_min_power_estimate,
     min_informational_power,
+    min_power_haar_integral,
     pure_state_density,
     purity_for_epsilon,
     renyi_entropy,
@@ -89,6 +92,18 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: elementary_symmetric2(["a"]), ValidationError),
         (lambda: Ensemble([1.0]), ValidationError),
         (lambda: Povm(5), ValidationError),
+        # float64 overflow in the closed forms
+        (lambda: min_informational_power(1100, 0.5), DimensionTooLargeError),
+        (
+            lambda: min_informational_power(200, purity_for_epsilon(200, 1e-4)),
+            DimensionTooLargeError,
+        ),
+        (lambda: subentropy_depolarized(200, 1e-4), DimensionTooLargeError),
+        (
+            lambda: max_subentropy_at_purity(200, purity_for_epsilon(200, 1e-4)),
+            DimensionTooLargeError,
+        ),
+        (lambda: min_power_haar_integral(200, 0.5), DimensionTooLargeError),
     ],
     ids=[
         "spectrum-str", "joint-str", "shannon-str", "ensemble-str-weight",
@@ -100,6 +115,8 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "nodes-str-value", "nodes-float-multiplicity", "nodes-not-pairs",
         "nodes-from-str", "nodes-from-empty",
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",
+        "min-power-binomial-overflow", "min-power-series-overflow",
+        "subentropy-series-overflow", "subentropy-max-overflow", "haar-integral-overflow",
     ],
 )
 def test_malformed_input_raises_typed_error(call, error):
