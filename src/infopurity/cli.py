@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import _checks
 from .errors import DimensionTooLargeError, InfopurityError, ValidationError
-from .fileio import load_ensemble, load_povm, save_ensemble, save_povm
+from .fileio import _write_text, load_ensemble, load_povm, save_ensemble, save_povm
 from .infomeasures import (
     OptimizerConfig,
     accessible_info_opt,
@@ -54,14 +53,6 @@ _INT_FLAGS = {
     "n": (2, 8), "points": (2, math.inf), "samples": (1000, math.inf),
     "seed": (0, _checks.SEED_MAX), "restarts": (1, math.inf), "threads": (1, math.inf),
 }
-
-
-def _default_threads() -> int:
-    env = os.environ.get("INFOPURITY_THREADS", "")
-    try:
-        return max(int(env), 1)
-    except ValueError:
-        return 1
 
 
 def curve_csv_text(n: int, points: int) -> str:
@@ -101,13 +92,9 @@ def _check_flags(args) -> None:
 
 
 def _cmd_curve(args) -> int:
-    text = curve_csv_text(args.n, args.points)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(args.out, curve_csv_text(args.n, args.points))
     if args.gnuplot:
-        gp_path = str(Path(args.out).with_suffix(".gp"))
-        with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(gnuplot_script(args.out))
+        _write_text(Path(args.out).with_suffix(".gp"), gnuplot_script(args.out))
     return EXIT_OK
 
 
@@ -138,16 +125,20 @@ def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts, seed=args.seed, tol=args.tol)
 
 
+def _print_result(result, kind: str, out_path: str) -> int:
+    print(f"value: {result.value:.12g}")
+    print(f"converged: {str(result.converged).lower()}")
+    print(f"iterations: {result.iterations}")
+    print(f"{kind} written: {out_path}")
+    return EXIT_OK
+
+
 def _cmd_optimize_acc(args) -> int:
     ensemble = load_ensemble(args.ensemble, subnormalized=args.subnormalized)
     result = accessible_info_opt(ensemble, _optimizer_config(args))
     out_path = str(Path(args.ensemble).with_suffix(".optimal-povm.json"))
     save_povm(out_path, result.argmax)
-    print(f"value: {result.value:.12g}")
-    print(f"converged: {str(result.converged).lower()}")
-    print(f"iterations: {result.iterations}")
-    print(f"povm written: {out_path}")
-    return EXIT_OK
+    return _print_result(result, "povm", out_path)
 
 
 def _cmd_optimize_power(args) -> int:
@@ -155,11 +146,7 @@ def _cmd_optimize_power(args) -> int:
     result = informational_power_opt(povm, _optimizer_config(args))
     out_path = str(Path(args.povm).with_suffix(".optimal-ensemble.json"))
     save_ensemble(out_path, result.argmax)
-    print(f"value: {result.value:.12g}")
-    print(f"converged: {str(result.converged).lower()}")
-    print(f"iterations: {result.iterations}")
-    print(f"ensemble written: {out_path}")
-    return EXIT_OK
+    return _print_result(result, "ensemble", out_path)
 
 
 def _cmd_mc(args) -> int:
@@ -224,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1, help="cap on worker threads")
     p.set_defaults(func=_cmd_mc)
     return parser
 

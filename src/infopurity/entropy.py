@@ -26,7 +26,13 @@ from .operators import DensityOperator, JointDistribution, Spectrum
 # confluent node and handled by derivatives
 CLUSTER_RTOL = 1e-7
 
+# floor under every clamped log argument: log(0) reads as about -690.8
 _LOG_FLOOR = 1e-300
+
+
+def _eta(x: np.ndarray) -> np.ndarray:
+    """-x ln(x) elementwise, 0 where x <= 0."""
+    return np.where(x > 0.0, -x * np.log(np.maximum(x, _LOG_FLOOR)), 0.0)
 
 
 def xlnx(x: float) -> float:
@@ -114,46 +120,17 @@ def _spectrum_values(spectrum) -> np.ndarray:
     return _checks.probabilities(spectrum, "spectrum", NotNormalizedError, ndim=None)
 
 
-class ConfluentNodeSet:
-    """Clustered spectrum: distinct node values with multiplicities."""
-
-    __slots__ = ("nodes", "total")
-
-    def __init__(self, nodes):
-        nodes = tuple(
-            (
-                float(_checks.real(v, "node value", -_checks.FLOAT_MAX, _checks.FLOAT_MAX)),
-                _checks.integer(m, "multiplicity", 1),
-            )
-            for v, m in _checks.items(nodes, "nodes", pairs=True)
-        )
-        vals = [v for v, _ in nodes]
-        if len(set(vals)) != len(vals):
-            raise ValidationError("node values must be pairwise distinct")
-        self.nodes = nodes
-        self.total = sum(m for _, m in nodes)
-
-    @classmethod
-    def from_values(cls, values) -> "ConfluentNodeSet":
-        """Cluster a value vector: adjacent (sorted) entries whose gap is
-        below CLUSTER_RTOL * max(1, |value|) merge into one node at the
-        cluster mean."""
-        v = np.sort(_checks.array(values, "values"))
-        clusters: list[list[float]] = [[float(v[0])]]
-        for x in v[1:]:
-            x = float(x)
-            if x - clusters[-1][-1] < CLUSTER_RTOL * max(1.0, abs(x)):
-                clusters[-1].append(x)
-            else:
-                clusters.append([x])
-        # distinct finite nodes with counts >= 1 by construction: no re-check
-        out = cls.__new__(cls)
-        out.nodes = tuple((sum(c) / len(c), len(c)) for c in clusters)
-        out.total = v.size
-        return out
-
-    def __repr__(self) -> str:
-        return f"ConfluentNodeSet({self.nodes})"
+def _clusters(values: np.ndarray) -> list[tuple[float, int]]:
+    """(value, multiplicity) nodes of an ascending vector: adjacent entries
+    whose gap is below CLUSTER_RTOL * max(1, |value|) merge into one node
+    at the cluster mean."""
+    clusters: list[list[float]] = []
+    for x in values.tolist():
+        if clusters and x - clusters[-1][-1] < CLUSTER_RTOL * max(1.0, abs(x)):
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
 def _harmonic(n: int) -> np.ndarray:
@@ -175,15 +152,16 @@ def _xnlnx_derivative(x: float, k: int, n: int, harm: np.ndarray) -> float:
     return coef * x ** (n - k) * (math.log(x) + harm[n] - harm[n - k])
 
 
-def _confluent_divided_difference(nodes: ConfluentNodeSet, n: int) -> float:
-    """Order-(total-1) divided difference of f(x) = x^n ln(x) on the nodes.
+def _confluent_divided_difference(nodes: list[tuple[float, int]], n: int) -> float:
+    """Order-(total-1) divided difference of f(x) = x^n ln(x) on the
+    (value, multiplicity) nodes.
 
     Repeated nodes are resolved by f[x,...,x (m times)] = f^(m-1)(x)/(m-1)!.
     """
     harm = _harmonic(n)
     zs: list[float] = []
     cluster_id: list[int] = []
-    for idx, (val, mult) in enumerate(nodes.nodes):
+    for idx, (val, mult) in enumerate(nodes):
         zs.extend([val] * mult)
         cluster_id.extend([idx] * mult)
     m = len(zs)
@@ -214,16 +192,10 @@ def subentropy(spectrum) -> float:
     n = v.size
     if n == 1:
         return 0.0
-    nodes = ConfluentNodeSet.from_values(v)
-    q = -_confluent_divided_difference(nodes, n)
+    q = -_confluent_divided_difference(_clusters(np.sort(v)), n)
     if -1e-12 < q < 0.0:
         q = 0.0
     return float(q)
-
-
-def _sigma_tail(harm: np.ndarray, k: int) -> float:
-    # sum_{j=2}^k 1/j = H_k - 1 (zero for k = 1)
-    return harm[k] - 1.0 if k >= 1 else 0.0
 
 
 def _depolarized_series(n: int, epsilon: float) -> float:
@@ -281,7 +253,7 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
             b = epsilon + a
             c = epsilon  # b - a, exactly
             harm = _harmonic(n)
-            sig_n = _sigma_tail(harm, n)
+            sig_n = harm[n] - 1.0  # S_n = H_n - 1
             total = -sig_n
             if a > 0.0:
                 log_a = math.log(a)
@@ -289,7 +261,7 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
                     total += (
                         math.comb(n, k)
                         * a**k
-                        * (log_a - _sigma_tail(harm, k))
+                        * (log_a - (harm[k] - 1.0))
                         / c ** (k - 1)
                     )
             total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)

@@ -95,15 +95,15 @@ def _decode_matrix(entry: dict, dim: int) -> np.ndarray:
     parts = []
     for name in ("matrix_re", "matrix_im"):
         part = _require(entry, name)
-        if not isinstance(part, list) or len(part) != dim:
-            raise ValidationError(f"{name} must be a list of {dim} rows")
-        for i, row in enumerate(part):
-            if not isinstance(row, list) or len(row) != dim:
-                raise ValidationError(f"{name} row {i} must be a list of {dim} entries")
-            if not all(_is_number(x) for x in row):
-                raise ValidationError(f"{name} row {i} has a non-numeric entry")
-        # rejects ints too large for a float and JSON's NaN and Infinity
-        parts.append(_checks.array(part, name, ndim=2))
+        # rejects ragged rows, nesting, non-numbers, ints too large for a
+        # float and JSON's NaN and Infinity
+        matrix = _checks.array(part, name, ndim=2)
+        if matrix.shape != (dim, dim):
+            raise ValidationError(f"{name} must be {dim} x {dim}, got shape {matrix.shape}")
+        # the conversion above also accepts numeric strings and bools
+        if not all(_is_number(x) for row in part for x in row):
+            raise ValidationError(f"{name} has an entry that is not a number")
+        parts.append(matrix)
     return parts[0] + 1j * parts[1]
 
 
@@ -153,9 +153,13 @@ def load_ensemble(path, subnormalized: bool = False) -> Ensemble:
     return decode_ensemble(_read_text(path), subnormalized=subnormalized)
 
 
-def save_ensemble(path, ensemble: Ensemble) -> None:
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(encode_ensemble(ensemble))
+        fh.write(text)
+
+
+def save_ensemble(path, ensemble: Ensemble) -> None:
+    _write_text(path, encode_ensemble(ensemble))
 
 
 def load_povm(path) -> Povm:
@@ -163,5 +167,4 @@ def load_povm(path) -> Povm:
 
 
 def save_povm(path, povm: Povm) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(encode_povm(povm))
+    _write_text(path, encode_povm(povm))

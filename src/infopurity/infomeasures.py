@@ -40,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .entropy import _mutual_info, mutual_information, shannon_entropy, subentropy
+from .entropy import (
+    _LOG_FLOOR,
+    _eta,
+    _mutual_info,
+    mutual_information,
+    shannon_entropy,
+    subentropy,
+)
 from .errors import (
     DimensionTooLargeError,
     EpsilonOutOfRangeError,
@@ -52,7 +59,6 @@ from .montecarlo import HaarSampler
 from .operators import (
     DensityOperator,
     Ensemble,
-    HermitianOperator,
     Povm,
     born_joint,
     eig_hermitian,
@@ -60,7 +66,6 @@ from .operators import (
 )
 from .tradeoff import depolarized_haar_ensemble
 
-_LOG_FLOOR = 1e-300
 MAX_OPT_DIM = 8
 # sweeps per restart before it is reported unconverged
 _MAX_SWEEPS = 300
@@ -301,7 +306,7 @@ def _see_saw_restarts(ensemble: Ensemble, avg_basis: np.ndarray, cfg: OptimizerC
 
 
 def accessible_info_opt(
-    ensemble: Ensemble, cfg: OptimizerConfig | None = None
+    ensemble: Ensemble, cfg: OptimizerConfig = OptimizerConfig()
 ) -> InfoResult:
     """Maximize the mutual information of an ensemble over POVMs.
 
@@ -316,8 +321,6 @@ def accessible_info_opt(
     on one stack; restart 0 keeps its n outcomes.  The returned POVM is
     exactly complete and reproduces ``value`` through the Born rule.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     n = ensemble.dim
     _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     _, avg_basis = eig_hermitian(ensemble.average.op)
@@ -329,17 +332,18 @@ def accessible_info_opt(
         records = (RestartRecord("spectral", spectral_value, 0, True, _FIRST_STEP),)
     else:
         vecs, iterations, converged, records = _see_saw_restarts(ensemble, avg_basis, cfg)
-    povm = Povm([HermitianOperator(np.outer(v, v.conj())) for v in vecs])
+    povm = Povm([np.outer(v, v.conj()) for v in vecs])
     value = mutual_information(born_joint(ensemble, povm))
     return InfoResult(value, povm, iterations, converged, records)
 
 
 def _row_divergences(prior: np.ndarray, channel: np.ndarray, log_channel: np.ndarray):
     """Relative entropy of each row p(.|x) of the channel to the output
-    distribution prior @ channel; leading axes stack channels."""
+    distribution prior @ channel, and the log-ratios log p(y|x) - log q(y)
+    it sums; leading axes stack channels."""
     out = (prior[..., None, :] @ channel)[..., 0, :]
     logs = log_channel - np.log(np.maximum(out, _LOG_FLOOR))[..., None, :]
-    return (channel * logs).sum(axis=-1)
+    return (channel * logs).sum(axis=-1), logs
 
 
 def _newton_step(prior, d, channel, best):
@@ -419,7 +423,7 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
                 trial[blocker] = 0.0
                 blocker = None
             trial = trial / trial.sum()
-            d = _row_divergences(trial, channel, log_channel)
+            d, _ = _row_divergences(trial, channel, log_channel)
             trial_value = float(trial @ d)
             if trial_value > value or (
                 trial_value > value - 1e-15 and d.max() - trial_value < gap
@@ -429,7 +433,7 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
         return None
 
     target = max(tol, 1e-13)
-    d = _row_divergences(prior, channel, log_channel)
+    d, _ = _row_divergences(prior, channel, log_channel)
     value = float(prior @ d)
     for _ in range(_PRIOR_ITERS):
         best = int(np.argmax(d))
@@ -458,10 +462,8 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
 
 def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray):
     # per row of a (R, K) prior stack and a (R, K, Y) channel stack, with
-    # the log-ratios log p(y|x) - log q(y) that its divergences sum
-    out = prior[:, None, :] @ channel
-    logs = np.log(np.maximum(channel, _LOG_FLOOR)) - np.log(np.maximum(out, _LOG_FLOOR))
-    d = (channel * logs).sum(axis=-1)
+    # the log-ratios that its divergences sum
+    d, logs = _row_divergences(prior, channel, np.log(np.maximum(channel, _LOG_FLOOR)))
     return (prior[:, None, :] @ d[:, :, None])[:, 0, 0], logs
 
 
@@ -518,9 +520,7 @@ def _power_restart(povm_stack, states, tol):
     return value, state, sweeps, converged & state[2], step
 
 
-def informational_power_opt(
-    povm: Povm, cfg: OptimizerConfig | None = None
-) -> InfoResult:
+def informational_power_opt(povm: Povm, cfg: OptimizerConfig = OptimizerConfig()) -> InfoResult:
     """Maximize the mutual information of a POVM over input ensembles.
 
     Pure-state alphabets of n^2 candidates suffice; restart 0 seeds them
@@ -532,8 +532,6 @@ def informational_power_opt(
     lock-step in the calling thread: the gradient steps are stacked, the
     capacity solves run one restart at a time.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     n = povm.dim
     _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
     k_cand = n * n
@@ -571,9 +569,7 @@ def informational_power_opt(
 
 def _neg_symmetric_objective(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # -sum_x w_x eta(u[r, x]) per row of an (R, X) overlap stack
-    u = np.clip(u, 0.0, None)
-    vals = np.where(u > 0.0, -u * np.log(np.maximum(u, _LOG_FLOOR)), 0.0)
-    return -(vals @ weights)
+    return -(_eta(u) @ weights)
 
 
 def _symmetric_descent(sigmas: np.ndarray, weights: np.ndarray, avg_basis: np.ndarray):
@@ -658,7 +654,7 @@ def jrw_tightness_probe(
     n: int,
     epsilon: float,
     ensemble_size: int,
-    cfg: OptimizerConfig | None = None,
+    cfg: OptimizerConfig = OptimizerConfig(),
 ) -> TightnessReport:
     """Probe tightness of the subentropy lower bound on depolarized Haar
     ensembles: build {D_eps(phi_x)} from Haar samples, optimize the
@@ -666,8 +662,6 @@ def jrw_tightness_probe(
     expected to shrink as the ensemble grows."""
     n = _checks.integer(n, "probe dimension n", 2, 3)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
-    if cfg is None:
-        cfg = OptimizerConfig()
     ensemble = depolarized_haar_ensemble(n, epsilon, ensemble_size, seed=cfg.seed)
     bound = jrw_lower(ensemble)
     result = accessible_info_opt(ensemble, cfg)
@@ -714,11 +708,7 @@ def distorted_ensemble(povm: Povm, rho: DensityOperator) -> Ensemble:
     return Ensemble(members)
 
 
-def duality_check(
-    povm: Povm,
-    rho_grid,
-    cfg: OptimizerConfig | None = None,
-) -> DualityReport:
+def duality_check(povm: Povm, rho_grid, cfg: OptimizerConfig = OptimizerConfig()) -> DualityReport:
     """Verify W(povm) >= A(distorted ensemble) over a grid of states.
 
     The informational power dominates the accessible information of every
@@ -726,8 +716,6 @@ def duality_check(
     report carries the individual values and the residual gap at the
     grid maximum.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     w = informational_power_opt(povm, cfg).value
     a_values = []
     for rho in rho_grid:

@@ -5,18 +5,20 @@ index) is bit-identical across runs, batch sizes and worker counts.
 Streams are counter-based (Philox) keyed by (seed, stream_id); estimates
 shard the sample budget over consecutive stream ids and combine the
 per-shard summaries in a fixed-shape pairwise tree, so the reduction is
-independent of scheduling.
+independent of scheduling and of the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _checks
+from .entropy import _eta
 from .errors import EpsilonOutOfRangeError, ValidationError
 
 # samples per shard; part of the fixed stream layout
@@ -96,7 +98,6 @@ def mc_min_power_estimate(
     samples: int,
     sampler: HaarSampler | None = None,
     *,
-    seed: int = 0,
     threads: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of the minimum-informational-power curve.
@@ -104,14 +105,17 @@ def mc_min_power_estimate(
     Unbiased estimator ln n - n * mean(eta((b-a) |<e1|phi>|^2 + a)) over
     Haar states phi, with a = (1-eps)/n, b = eps + a and eta(x) = -x ln x.
     The fixed reference state e1 is justified by unitary invariance of the
-    Haar measure.  ``sampler`` provides the (seed, stream_id) base; shard
-    i draws from stream_id base + i.
+    Haar measure.  ``sampler`` provides the (seed, stream_id) base,
+    (0, 0) by default; shard i of 2^14 samples draws from stream_id
+    base + i.  ``threads`` caps the worker threads, which are also at
+    most one per shard and one per CPU; the result does not depend on it.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
     samples = _checks.integer(samples, "samples", 1000)
+    threads = _checks.integer(threads, "threads", 1)
     if sampler is None:
-        sampler = HaarSampler(n, seed)
+        sampler = HaarSampler(n, 0)
     if sampler.dim != n:
         raise ValidationError(f"sampler dim {sampler.dim} != n {n}")
 
@@ -125,18 +129,14 @@ def mc_min_power_estimate(
         sub = HaarSampler(n, sampler.seed, sampler.stream_id + i)
         phi = sub.states(shard_counts[i])
         t = np.abs(phi[:, 0]) ** 2
-        arg = c * t + a
-        vals = np.where(arg > 0.0, -arg * np.log(np.maximum(arg, 1e-300)), 0.0)
+        vals = _eta(c * t + a)
         mean = float(vals.mean())
         sq = float(((vals - mean) ** 2).sum())
         return (len(vals), mean, sq)
 
-    indices = range(len(shard_counts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(run_shard, indices))
-    else:
-        summaries = [run_shard(i) for i in indices]
+    workers = min(threads, len(shard_counts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        summaries = list(pool.map(run_shard, range(len(shard_counts))))
 
     total, mean, sq = _tree_reduce(summaries)
     estimate = math.log(n) - n * mean

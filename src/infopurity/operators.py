@@ -41,18 +41,18 @@ class HermitianOperator:
     """A dense complex matrix checked (and stored) as Hermitian.
 
     The constructor rejects inputs whose anti-Hermitian part exceeds
-    ``tol`` in max-abs; the stored matrix is the Hermitian part of the
+    1e-10 in max-abs; the stored matrix is the Hermitian part of the
     input, so downstream arithmetic sees an exactly Hermitian operator.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, entries, tol: float = TOL_HERM):
+    def __init__(self, entries):
         m = _as_square_complex(entries)
         dev = np.max(np.abs(m - m.conj().T))
-        if dev > tol:
+        if dev > TOL_HERM:
             raise NonHermitianError(
-                f"max |M - M^dag| = {dev:.3e} exceeds tolerance {tol:.1e}"
+                f"max |M - M^dag| = {dev:.3e} exceeds tolerance {TOL_HERM:.1e}"
             )
         self.matrix: np.ndarray = _frozen((m + m.conj().T) / 2.0)
 
@@ -285,12 +285,7 @@ def purity(x) -> float:
     Ranges over [1/n, 1] on density operators.  Raises ``ZeroTraceError``
     when |Tr X| <= 1e-12.
     """
-    if isinstance(x, DensityOperator):
-        m = x.matrix
-    elif isinstance(x, HermitianOperator):
-        m = x.matrix
-    else:
-        m = HermitianOperator(x).matrix
+    m = (x if isinstance(x, (DensityOperator, HermitianOperator)) else HermitianOperator(x)).matrix
     tr = float(np.trace(m).real)
     if abs(tr) <= 1e-12:
         raise ZeroTraceError(f"trace {tr!r} too close to zero")

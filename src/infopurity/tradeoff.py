@@ -38,7 +38,6 @@ from .montecarlo import HaarSampler
 from .operators import (
     DensityOperator,
     Ensemble,
-    HermitianOperator,
     Povm,
     eig_hermitian,
 )
@@ -299,19 +298,17 @@ def depolarized_scrooge_povm(
         + (1.0 - epsilon) / n * np.eye(n)[None, :, :]
     )
     s = elements.sum(axis=0)
-    spec, basis = eig_hermitian(HermitianOperator(s))
+    spec, basis = eig_hermitian(s)
     inv_sqrt = (basis * (1.0 / np.sqrt(spec.values))) @ basis.conj().T
     symmetrized = np.einsum("ab,ybc,cd->yad", inv_sqrt, elements, inv_sqrt)
-    return Povm([HermitianOperator(e) for e in symmetrized])
+    return Povm(symmetrized)
 
 
-def depolarized_haar_ensemble(
-    n: int, epsilon: float, size: int, seed: int = 0, stream_id: int = 0
-) -> Ensemble:
+def depolarized_haar_ensemble(n: int, epsilon: float, size: int, seed: int = 0) -> Ensemble:
     """Uniform-weight ensemble of ``size`` depolarized Haar pure states."""
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", -1.0 / (n - 1), 1.0, EpsilonOutOfRangeError)
-    phis = HaarSampler(n, seed, stream_id).states(size)
+    phis = HaarSampler(n, seed).states(size)
     eye = np.eye(n)
     states = []
     for phi in phis:

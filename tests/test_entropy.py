@@ -5,7 +5,6 @@ import pytest
 
 from infopurity import (
     AlphaOutOfRangeError,
-    ConfluentNodeSet,
     DensityOperator,
     EpsilonOutOfRangeError,
     NotNormalizedError,
@@ -17,6 +16,7 @@ from infopurity import (
     subentropy_depolarized,
     von_neumann_entropy,
 )
+from infopurity.entropy import _clusters
 from infopurity.operators import depolarize, purity
 
 from _oracles import (
@@ -224,13 +224,29 @@ class TestSubentropy:
 
 class TestConfluentNodeSet:
     def test_clusters_tight_gaps(self):
-        nodes = ConfluentNodeSet.from_values([0.5, 0.5 + 1e-9, 0.25, 0.25 - 1e-12])
-        assert [m for _, m in nodes.nodes] == [2, 2]
-        assert nodes.total == 4
+        nodes = _clusters(np.sort([0.5, 0.5 + 1e-9, 0.25, 0.25 - 1e-12]))
+        assert [m for _, m in nodes] == [2, 2]
+        assert sum(m for _, m in nodes) == 4
 
     def test_keeps_separated_values(self):
-        nodes = ConfluentNodeSet.from_values([0.6, 0.3, 0.1])
-        assert [m for _, m in nodes.nodes] == [1, 1, 1]
+        nodes = _clusters(np.sort([0.6, 0.3, 0.1]))
+        assert [m for _, m in nodes] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "spectrum, value",
+        [
+            ([0.5, 0.5], 0.1931471805599453),
+            ([0.25, 0.25, 0.25, 0.25], 0.30296102778655754),
+            ([0.3, 0.3 + 1e-9, 0.2, 0.2 - 1e-9], 0.2989494961377314),
+            ([0.7, 0.1, 0.1, 0.1], 0.2006729319376534),
+            ([0.5, 0.5, 0.0], 0.1931471805599453),
+            ([0.4, 0.2 + 5e-8, 0.2, 0.2 - 5e-8], 0.29136693464227487),
+        ],
+        ids=["pair", "mixed-4", "two-tight-pairs", "one-triple", "zero-node", "tight-triple"],
+    )
+    def test_clustered_subentropy_exact(self, spectrum, value):
+        # the clustering and the confluent table, pinned to the last bit
+        assert subentropy(spectrum) == value
 
 
 class TestSubentropyDepolarized:

@@ -394,13 +394,25 @@ class TestBoundsCommand:
             ('{"weight": 1.0, "matrix_re": [[1, "x"], [0, 0]], "matrix_im": [[0, 0], [0, 0]]}', "2"),
             ("5", "2"),
             ('{"weight": 1.0, "matrix_re": [[1]], "matrix_im": [[0]]}', "true"),
+            ('{"weight": 1.0, "matrix_re": [["1", 0], [0, 0]], "matrix_im": [[0, 0], [0, 0]]}', "2"),
+            ('{"weight": 1.0, "matrix_re": [[1, 0], [0]], "matrix_im": [[0, 0], [0, 0]]}', "2"),
+            (
+                '{"weight": 1.0, "matrix_re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],'
+                ' "matrix_im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+                "2",
+            ),
         ],
-        ids=["string-weight", "string-entry", "state-not-object", "bool-dim"],
+        ids=[
+            "string-weight", "string-entry", "state-not-object", "bool-dim",
+            "numeric-string-entry", "ragged-row", "3x3-in-dim-2",
+        ],
     )
-    def test_malformed_fields_exit_code(self, tmp_path, state, dim):
+    def test_malformed_fields_exit_code(self, tmp_path, capsys, state, dim):
         path = tmp_path / "bad.json"
         path.write_text(f'{{"dim": {dim}, "states": [{state}]}}')
         assert main(["bounds", "--ensemble", str(path)]) == 3
+        if dim == "2":
+            assert "states[0]" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["bounds", "--ensemble", str(tmp_path / "missing.json")]) == 1
@@ -469,19 +481,3 @@ class TestMcCommand:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
-
-
-class TestThreadDefaults:
-    def test_env_var_sets_default_thread_cap(self, monkeypatch):
-        from infopurity.cli import build_parser
-
-        monkeypatch.setenv("INFOPURITY_THREADS", "6")
-        args = build_parser().parse_args(
-            ["mc-scrooge", "--n", "2", "--epsilon", "0.5", "--samples", "2000"]
-        )
-        assert args.threads == 6
-        monkeypatch.setenv("INFOPURITY_THREADS", "junk")
-        args = build_parser().parse_args(
-            ["mc-scrooge", "--n", "2", "--epsilon", "0.5", "--samples", "2000"]
-        )
-        assert args.threads == 1

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import infopurity
 from infopurity import (
     AlphaOutOfRangeError,
-    ConfluentNodeSet,
     CountTooSmallError,
     DimensionTooLargeError,
     Ensemble,
@@ -75,6 +74,10 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: OptimizerConfig(seed=-1), ValidationError),
         (lambda: HaarSampler(2.5, 0), ValidationError),
         (lambda: mc_min_power_estimate(2.5, 0.5, 1000), ValidationError),
+        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads="a"), ValidationError),
+        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=0), ValidationError),
+        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=-1), ValidationError),
+        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=2.5), ValidationError),
         (lambda: harmonic_tail(True), InvalidKError),
         (lambda: depolarized_scrooge_povm(2, 0.5, 4.5, 0), CountTooSmallError),
         (lambda: depolarized_haar_ensemble(1, 0.5, 3), ValidationError),
@@ -84,11 +87,6 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: purity_for_epsilon(1, 0.5), ValidationError),
         (lambda: purity_for_epsilon(2, math.nan), EpsilonOutOfRangeError),
         (lambda: purity_for_epsilon(2, "a"), EpsilonOutOfRangeError),
-        (lambda: ConfluentNodeSet([("a", 1)]), ValidationError),
-        (lambda: ConfluentNodeSet([(0.5, 2.7)]), ValidationError),
-        (lambda: ConfluentNodeSet([0.5]), ValidationError),
-        (lambda: ConfluentNodeSet.from_values(["a"]), ValidationError),
-        (lambda: ConfluentNodeSet.from_values([]), ValidationError),
         (lambda: elementary_symmetric2(["a"]), ValidationError),
         (lambda: Ensemble([1.0]), ValidationError),
         (lambda: Povm(5), ValidationError),
@@ -109,11 +107,10 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "spectrum-str", "joint-str", "shannon-str", "ensemble-str-weight",
         "purity-str", "epsilon-str", "renyi-nan-alpha", "extremal-nan-alpha",
         "tol-nan", "sampler-negative-seed", "config-negative-seed",
-        "sampler-float-dim", "mc-float-dim", "k-bool", "count-float",
+        "sampler-float-dim", "mc-float-dim", "mc-str-threads", "mc-zero-threads",
+        "mc-negative-threads", "mc-float-threads", "k-bool", "count-float",
         "haar-ensemble-dim-1", "purity-eps-above-1", "purity-eps-below-range",
         "purity-float-dim", "purity-dim-1", "purity-nan-eps", "purity-str-eps",
-        "nodes-str-value", "nodes-float-multiplicity", "nodes-not-pairs",
-        "nodes-from-str", "nodes-from-empty",
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",
         "min-power-binomial-overflow", "min-power-series-overflow",
         "subentropy-series-overflow", "subentropy-max-overflow", "haar-integral-overflow",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from infopurity import (
     min_informational_power,
     purity_for_epsilon,
 )
+from infopurity import montecarlo
 
 
 class TestHaarSampler:
@@ -70,6 +72,22 @@ class TestMcEstimate:
             for k in (1, 2, 3, 5)
         }
         assert len(values) == 1
+
+    def test_threads_is_a_cap(self, monkeypatch):
+        # at most one worker per shard and per CPU, whatever is asked for
+        requested = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        samples = 3 * montecarlo.SHARD_SIZE
+        capped = mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=10**6)
+        single = mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=1)
+        assert requested == [min(3, os.cpu_count() or 1), 1]
+        assert capped.mean == single.mean
 
     def test_three_sigma_consistency(self):
         analytic = min_informational_power(2, purity_for_epsilon(2, 0.7)).value

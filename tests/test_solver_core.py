@@ -1,4 +1,5 @@
-"""Pinned optimizer trajectories and the package's import structure.
+"""Pinned optimizer trajectories and the package's structure: its imports
+and the one module each shared rule lives in.
 
 The optimizers are deterministic, so their sweep counts, convergence
 flags and values are fixed for a given input.  Pinning them makes any
@@ -86,4 +87,34 @@ def test_no_import_inside_functions():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert found == []
+
+
+def _write_mode(call: ast.Call) -> bool:
+    # the mode of open(path, mode) or open(path, mode=...), "r" if absent
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
+    return isinstance(mode, ast.Constant) and any(c in str(mode.value) for c in "wax+")
+
+
+def test_shared_rules_have_one_home():
+    # the log floor lives in entropy.py, file writes in fileio.py, and the
+    # package reads no environment variable
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and node.value == 1e-300:
+                if path.name != "entropy.py":
+                    found.append(f"{where} log floor")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"
+                and _write_mode(node)
+                and path.name != "fileio.py"
+            ):
+                found.append(f"{where} open for writing")
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{where} environment read")
     assert found == []
