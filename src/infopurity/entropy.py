@@ -8,6 +8,7 @@ cancellation-prone limits of the rational eigenvalue formula.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -133,10 +134,12 @@ def _clusters(values: np.ndarray) -> list[tuple[float, int]]:
     return [(sum(c) / len(c), len(c)) for c in clusters]
 
 
+@functools.lru_cache(maxsize=128)
 def _harmonic(n: int) -> np.ndarray:
-    """H_0 .. H_n as an array (H_0 = 0)."""
+    """H_0 .. H_n as a read-only array (H_0 = 0), cached per n."""
     h = np.zeros(n + 1)
     h[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
+    h.setflags(write=False)
     return h
 
 

@@ -5,7 +5,10 @@ index) is bit-identical across runs, batch sizes and worker counts.
 Streams are counter-based (Philox) keyed by (seed, stream_id); estimates
 shard the sample budget over consecutive stream ids and combine the
 per-shard summaries in a fixed-shape pairwise tree, so the reduction is
-independent of scheduling and of the number of workers.
+independent of scheduling and of the number of workers.  The estimator
+reads only the radius uniforms of those same streams: the overlap
+|<e1|phi>|^2 of a Haar state is a ratio of squared radii, so no state
+vector is built.
 """
 
 from __future__ import annotations
@@ -41,12 +44,33 @@ class HaarSampler:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
+    def _draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Squared radii and angle uniforms of the next ``count`` states,
+        each of shape (count, dim).
+
+        The one home of the stream layout: each state consumes 2 * dim
+        uniforms, the even columns giving the radii and the odd columns
+        the angles.
+        """
+        u = self._gen.random((count, 2 * self.dim))
+        return -2.0 * np.log1p(-u[:, 0::2]), u[:, 1::2]  # 1 - u in (0, 1]
+
+    def _overlaps(self, count: int) -> np.ndarray:
+        """|<e1|phi>|^2 of the next ``count`` states, without building them.
+
+        With z_k = r_k e^{i theta_k} the phases cancel, so the overlap is
+        r_0^2 / sum_k r_k^2; it equals ``abs(states(count)[:, 0]) ** 2``
+        up to rounding and advances the stream by the same draws.
+        """
+        radius_sq, _ = self._draw(count)
+        return radius_sq[:, 0] / radius_sq.sum(axis=1)
+
     def states(self, count: int) -> np.ndarray:
         """Draw ``count`` unit-norm state vectors, shape (count, dim)."""
         count = _checks.integer(count, "count", 1)
-        u = self._gen.random((count, 2 * self.dim))
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u in (0, 1]
-        angle = 2.0 * np.pi * u[:, 1::2]
+        radius_sq, angle_u = self._draw(count)
+        radius = np.sqrt(radius_sq)
+        angle = 2.0 * np.pi * angle_u
         z = radius * (np.cos(angle) + 1j * np.sin(angle))
         norms = np.sqrt((np.abs(z) ** 2).sum(axis=1, keepdims=True))
         return z / norms
@@ -107,8 +131,11 @@ def mc_min_power_estimate(
     The fixed reference state e1 is justified by unitary invariance of the
     Haar measure.  ``sampler`` provides the (seed, stream_id) base,
     (0, 0) by default; shard i of 2^14 samples draws from stream_id
-    base + i.  ``threads`` caps the worker threads, which are also at
-    most one per shard and one per CPU; the result does not depend on it.
+    base + i, consuming the same uniforms as ``HaarSampler.states`` but
+    reading only their radius columns: |<e1|phi>|^2 = r_0^2 / sum_k r_k^2,
+    so no state vector is built and the determinism contract is unchanged.
+    ``threads`` caps the worker threads, which are also at most one per
+    shard and one per CPU; the result does not depend on it.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
@@ -127,9 +154,7 @@ def mc_min_power_estimate(
 
     def run_shard(i: int):
         sub = HaarSampler(n, sampler.seed, sampler.stream_id + i)
-        phi = sub.states(shard_counts[i])
-        t = np.abs(phi[:, 0]) ** 2
-        vals = _eta(c * t + a)
+        vals = _eta(c * sub._overlaps(shard_counts[i]) + a)
         mean = float(vals.mean())
         sq = float(((vals - mean) ** 2).sum())
         return (len(vals), mean, sq)

@@ -16,6 +16,9 @@ before their restarts went into lock-step; the lock-step loop must take
 the same trials row by row.  The einsum kernels and the Newton step are
 the power optimizer's earlier channel, gradient and KKT solve: the matmul
 kernels must agree with them to roundoff, the Newton step bit for bit.
+The Haar overlap shard is the Monte Carlo's earlier kernel, which built
+every state vector and read the squared modulus of its first entry; the
+radius-only shard must agree with it to roundoff.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from infopurity import EpsilonOutOfRangeError, _checks
+from infopurity import EpsilonOutOfRangeError, HaarSampler, _checks
+from infopurity.montecarlo import SHARD_SIZE
 
 
 def subentropy_quadrature(values) -> float:
@@ -324,3 +328,22 @@ def newton_step_reference(prior, d, channel, best):
     full = np.zeros_like(prior)
     full[idx] = step
     return full
+
+
+def haar_overlaps_from_states(n: int, seed: int, stream: int, count: int) -> np.ndarray:
+    """|<e1|phi>|^2 of ``count`` Haar states read off the full state vectors."""
+    return np.abs(HaarSampler(n, seed, stream).states(count)[:, 0]) ** 2
+
+
+def mc_min_power_from_states(n: int, epsilon: float, samples: int, seed: int, stream: int):
+    """(mean, std error) of the minimum-power Monte Carlo with every shard
+    building its state vectors, reduced in one pass over all samples."""
+    counts = [SHARD_SIZE] * (samples // SHARD_SIZE)
+    if samples % SHARD_SIZE:
+        counts.append(samples % SHARD_SIZE)
+    t = np.concatenate(
+        [haar_overlaps_from_states(n, seed, stream + i, c) for i, c in enumerate(counts)]
+    )
+    x = epsilon * t + (1.0 - epsilon) / n
+    vals = np.where(x > 0.0, -x * np.log(np.maximum(x, 1e-300)), 0.0)
+    return math.log(n) - n * vals.mean(), n * math.sqrt(vals.var(ddof=1) / samples)

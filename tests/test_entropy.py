@@ -16,7 +16,8 @@ from infopurity import (
     subentropy_depolarized,
     von_neumann_entropy,
 )
-from infopurity.entropy import _clusters
+from infopurity.entropy import _clusters, _harmonic
+from infopurity.tradeoff import harmonic_tail
 from infopurity.operators import depolarize, purity
 
 from _oracles import (
@@ -247,6 +248,30 @@ class TestConfluentNodeSet:
     def test_clustered_subentropy_exact(self, spectrum, value):
         # the clustering and the confluent table, pinned to the last bit
         assert subentropy(spectrum) == value
+
+
+class TestHarmonicTable:
+    def test_read_only(self):
+        table = _harmonic(6)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
+    def test_equals_fresh_cumsum_bit_for_bit(self):
+        for n in range(1, 65):
+            fresh = np.zeros(n + 1)
+            fresh[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
+            assert np.array_equal(_harmonic(n), fresh)
+
+    def test_cache_hit_returns_same_object(self):
+        assert _harmonic(7) is _harmonic(7)
+
+    def test_harmonic_tail_is_its_own_sum(self):
+        # harmonic_tail keeps its scalar loop and does not read the table
+        before = _harmonic.cache_info()
+        for k in range(1, 65):
+            assert harmonic_tail(k) == sum(1.0 / j for j in range(2, k + 1))
+        assert _harmonic.cache_info() == before
 
 
 class TestSubentropyDepolarized:

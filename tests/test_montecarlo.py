@@ -16,6 +16,8 @@ from infopurity import (
 )
 from infopurity import montecarlo
 
+from _oracles import haar_overlaps_from_states, mc_min_power_from_states
+
 
 class TestHaarSampler:
     def test_unit_norm(self):
@@ -115,6 +117,56 @@ class TestMcEstimate:
     def test_input_guards(self):
         with pytest.raises(ValidationError):
             mc_min_power_estimate(2, 0.5, 100, HaarSampler(2, 0))
+
+
+class TestOverlapShard:
+    """The shard reads |<e1|phi>|^2 from the radius uniforms alone; it must
+    agree with the full-state kernel and never fall back to it."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_full_state_kernel(self, n):
+        for seed, stream, count in [(0, 0, 4096), (3, 7, 999), (42, 1, 1)]:
+            fast = HaarSampler(n, seed, stream)._overlaps(count)
+            ref = haar_overlaps_from_states(n, seed, stream, count)
+            assert fast.shape == ref.shape == (count,)
+            assert np.max(np.abs(fast - ref) / ref) <= 4e-15
+
+    def test_advances_the_stream_like_states(self):
+        whole = HaarSampler(3, seed=9, stream_id=2).states(20)
+        s = HaarSampler(3, seed=9, stream_id=2)
+        head = s._overlaps(7)
+        assert np.array_equal(s.states(13), whole[7:])
+        assert np.max(np.abs(head - np.abs(whole[:7, 0]) ** 2)) <= 4e-15 * head.max()
+
+    @pytest.mark.parametrize(
+        "n, eps, samples, seed, stream",
+        [
+            (2, 0.7, 3 * montecarlo.SHARD_SIZE + 1234, 3, 0),
+            (5, 0.4, montecarlo.SHARD_SIZE + 1, 11, 5),
+            (8, 1.0, 20_000, 0, 2),
+        ],
+    )
+    def test_estimate_matches_full_state_kernel(self, n, eps, samples, seed, stream):
+        mean, std_error = mc_min_power_from_states(n, eps, samples, seed, stream)
+        for threads in (1, 2):
+            est = mc_min_power_estimate(
+                n, eps, samples, HaarSampler(n, seed, stream), threads=threads
+            )
+            assert est.samples == samples
+            assert abs(est.mean - mean) <= 1e-14
+            assert abs(est.std_error - std_error) <= 1e-14
+
+    def test_never_builds_states(self, monkeypatch):
+        def refuse(self, count):
+            raise AssertionError("the estimator built state vectors")
+
+        monkeypatch.setattr(HaarSampler, "states", refuse)
+        samples = 2 * montecarlo.SHARD_SIZE + 5
+        values = {
+            mc_min_power_estimate(3, 0.5, samples, HaarSampler(3, 1), threads=k).mean
+            for k in (1, 2)
+        }
+        assert len(values) == 1
 
 
 class TestTightnessProbe:
