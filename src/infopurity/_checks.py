@@ -1,8 +1,11 @@
 """Input checks shared by every public entry point.
 
-Each checker raises the typed error its caller documents.  The scalar
-checkers are plain Python with no numpy call and no exception handler,
-because a curve point runs several of them.
+Each checker raises the typed error its caller documents.  The checks run
+once per public call, at the boundary: what the entry point calls below it
+(the curve kernels in ``tradeoff``, ``entropy._subentropy_depolarized``)
+takes checked values and checks nothing again, so a curve CSV checks its
+two arguments once for the whole grid.  The scalar checkers are plain
+Python with no numpy call and no exception handler.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ for identical arguments (CSV output is byte-identical).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,11 @@ from .infomeasures import (
 from .montecarlo import HaarSampler, mc_min_power_estimate
 from .operators import purity
 from .tradeoff import (
-    max_accessible_information,
+    _epsilon,
+    _harmonic_tail,
+    _max_access,
+    _min_power,
+    _two_level_params,
     min_informational_power,
     purity_for_epsilon,
 )
@@ -56,13 +61,23 @@ _INT_FLAGS = {
 
 
 def curve_csv_text(n: int, points: int) -> str:
-    """CSV body of both tradeoff curves on a uniform purity grid."""
-    grid = np.linspace(1.0 / n, 1.0, points)
+    """CSV body of both tradeoff curves on a uniform purity grid.
+
+    Each row holds the values of ``min_informational_power`` and
+    ``max_accessible_information`` at one of ``points`` purities spread
+    evenly over [1/n, 1].  Raises ``ValidationError`` unless n and points
+    are integers >= 2, and ``DimensionTooLargeError`` where the lower
+    curve leaves the float64 range.
+    """
+    n = _checks.integer(n, "dimension n", 2)
+    points = _checks.integer(points, "points", 2)
+    tail = _harmonic_tail(n)
     lines = ["n,P,impurity,q_w,s_a_max"]
-    for p in grid:
-        p = float(p)
-        q = min_informational_power(n, p).value
-        s = max_accessible_information(n, p).value
+    # the grid runs from 1/n to 1 exactly, so the kernels need no clamp
+    for p in np.linspace(1.0 / n, 1.0, points).tolist():
+        q = _min_power(n, _epsilon(n, p), tail)
+        m, _, a, b = _two_level_params(n, p)
+        s = _max_access(n, m, a, b)
         lines.append(f"{n},{p:.6f},{1.0 - p:.6f},{q:.6f},{s:.6f}")
     return "\n".join(lines) + "\n"
 
@@ -167,7 +182,9 @@ def _cmd_mc(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="infopurity",
         description="Information-purity tradeoff curves, bounds and optimizers.",

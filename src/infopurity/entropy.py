@@ -201,7 +201,7 @@ def subentropy(spectrum) -> float:
     return float(q)
 
 
-def _depolarized_series(n: int, epsilon: float) -> float:
+def _depolarized_series(n: int, epsilon: float, harm: list[float]) -> float:
     """Small-epsilon expansion of Q around the fully degenerate spectrum.
 
     Expands the divided difference f[a,...,a,b] of f(x) = x^n ln(x) as a
@@ -212,7 +212,6 @@ def _depolarized_series(n: int, epsilon: float) -> float:
     """
     a = (1.0 - epsilon) / n
     c = epsilon
-    harm = _harmonic(n)
     log_a = math.log(a)
     total = n * a * (log_a + harm[n] - 1.0)  # m = 0 term
     total += c * (log_a + harm[n])  # m = 1 term
@@ -244,18 +243,27 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
 
     with S_k the harmonic tail; small eps switches to the confluent power
     series to avoid the (b-a)^(k-1) cancellation.  Continuous at eps -> 0
-    with limit ln n - S_n, and zero at eps = 1.
+    with limit ln n - S_n, and zero at eps = 1.  Raises
+    ``DimensionTooLargeError`` where float64 overflows or the result is
+    not finite.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
+    return _subentropy_depolarized(n, float(epsilon))
+
+
+def _subentropy_depolarized(n: int, epsilon: float) -> float:
+    # unchecked kernel of subentropy_depolarized: an int n >= 2 and a float
+    # eps in [0, 1]; the table entries are Python floats, so a vanishing
+    # (b-a)^(k-1) raises ZeroDivisionError instead of warning and giving nan
+    harm = _harmonic(n).tolist()
     try:
         if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
-            q = _depolarized_series(n, epsilon)
+            q = _depolarized_series(n, epsilon, harm)
         else:
             a = (1.0 - epsilon) / n
             b = epsilon + a
             c = epsilon  # b - a, exactly
-            harm = _harmonic(n)
             sig_n = harm[n] - 1.0  # S_n = H_n - 1
             total = -sig_n
             if a > 0.0:
@@ -269,8 +277,12 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
                     )
             total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)
             q = total
-    except OverflowError as exc:
-        raise DimensionTooLargeError(f"n = {n} overflows float64") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DimensionTooLargeError(
+            f"n = {n} leaves the float64 range at eps = {epsilon!r}"
+        ) from exc
+    if not math.isfinite(q):
+        raise DimensionTooLargeError(f"n = {n} gives subentropy {q!r} at eps = {epsilon!r}")
     if -1e-12 < q < 0.0:
         q = 0.0
-    return float(q)
+    return q

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks
-from .entropy import subentropy_depolarized, xlnx
+from .entropy import _harmonic, _subentropy_depolarized, xlnx
 from .errors import (
     AlphaOutOfRangeError,
     CountTooSmallError,
@@ -44,9 +44,9 @@ from .operators import (
 
 
 def harmonic_tail(k: int) -> float:
-    """Partial harmonic sum 1/2 + 1/3 + ... + 1/k (zero for k = 1)."""
-    k = _checks.integer(k, "k", 1, error=InvalidKError)
-    return sum(1.0 / j for j in range(2, k + 1))
+    """Partial harmonic sum 1/2 + 1/3 + ... + 1/k (zero for k = 1), read
+    from the cached table H_k - 1."""
+    return _harmonic_tail(_checks.integer(k, "k", 1, error=InvalidKError))
 
 
 def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
@@ -54,11 +54,40 @@ def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
     return n, _checks.real(purity, "purity", 1.0 / n, 1.0, PurityOutOfRangeError)
 
 
+# Unchecked kernels: the public closed forms check their arguments once,
+# through _dim_and_purity, and call these with an int n >= 2 and values
+# already in range; cli.curve_csv_text calls them per grid point after
+# checking once for the whole grid.
+
+
+def _harmonic_tail(k: int) -> float:
+    return float(_harmonic(k)[k] - 1.0)
+
+
+def _epsilon(n: int, purity: float) -> float:
+    return math.sqrt(max(n * purity - 1.0, 0.0) / (n - 1))
+
+
+def _min_power(n: int, epsilon: float, tail: float) -> float:
+    # tail = H_n - 1, read once by the caller
+    value = math.log(n) - tail - _subentropy_depolarized(n, epsilon)
+    if -1e-12 < value < 0.0:
+        value = 0.0
+    return value
+
+
+def _max_access(n: int, m: int, a: float, b: float) -> float:
+    # (m, a, b) from _two_level_params
+    value = math.log(n) + m * xlnx(a) + xlnx(b)
+    if -1e-12 < value < 0.0:
+        value = 0.0
+    return value
+
+
 def epsilon_for_purity(n: int, purity: float) -> float:
     """Depolarization strength whose depolarized pure state has the given
     purity: eps = sqrt((n P - 1)/(n - 1))."""
-    n, purity = _dim_and_purity(n, purity)
-    return math.sqrt(max(n * purity - 1.0, 0.0) / (n - 1))
+    return _epsilon(*_dim_and_purity(n, purity))
 
 
 def purity_for_epsilon(n: int, epsilon: float) -> float:
@@ -118,19 +147,17 @@ def min_informational_power(n: int, purity: float) -> TradeoffPoint:
 
     Equals ln n - harmonic_tail(n) - Q_dep(n, eps(P)) with Q_dep the
     closed-form depolarized subentropy; zero at P = 1/n and
-    ln n - harmonic_tail(n) at P = 1.
+    ln n - harmonic_tail(n) at P = 1.  Raises ``DimensionTooLargeError``
+    where the depolarized subentropy does.
     """
     n, purity = _dim_and_purity(n, purity)
-    eps = epsilon_for_purity(n, purity)
+    eps = _epsilon(n, purity)
     a = (1.0 - eps) / n
     b = eps + a
-    value = float(math.log(n) - harmonic_tail(n) - subentropy_depolarized(n, eps))
-    if -1e-12 < value < 0.0:
-        value = 0.0
     return TradeoffPoint(
         n=n,
         purity=purity,
-        value=value,
+        value=_min_power(n, eps, _harmonic_tail(n)),
         source="min_power",
         params={"epsilon": eps, "a": a, "b": b},
     )
@@ -157,13 +184,10 @@ def max_accessible_information(n: int, purity: float) -> TradeoffPoint:
     """
     n, purity = _dim_and_purity(n, purity)
     m, alpha, a, b = _two_level_params(n, purity)
-    value = math.log(n) + m * xlnx(a) + xlnx(b)
-    if -1e-12 < value < 0.0:
-        value = 0.0
     return TradeoffPoint(
         n=n,
         purity=purity,
-        value=value,
+        value=_max_access(n, m, a, b),
         source="max_access",
         params={"m": m, "alpha": alpha, "a": a, "b": b},
     )
@@ -174,11 +198,12 @@ def max_subentropy_at_purity(n: int, purity: float) -> SubentropyMaxSolution:
 
     Attained by a depolarized pure state with eps = sqrt((nP - 1)/(n - 1));
     the value dominates the subentropy of every spectrum at that purity.
+    Raises ``DimensionTooLargeError`` where the depolarized subentropy does.
     """
     n, purity = _dim_and_purity(n, purity)
-    eps = epsilon_for_purity(n, purity)
+    eps = _epsilon(n, purity)
     return SubentropyMaxSolution(
-        n=n, purity=purity, epsilon=eps, value=subentropy_depolarized(n, eps)
+        n=n, purity=purity, epsilon=eps, value=_subentropy_depolarized(n, eps)
     )
 
 
@@ -321,7 +346,7 @@ def _eta_antiderivative(m: int, x: float) -> float:
     # m-fold antiderivative of eta(x) = -x ln x: -x^(m+1)/(m+1)! (ln x - S_{m+1})
     if x <= 0.0:
         return 0.0
-    return -(x ** (m + 1)) / math.factorial(m + 1) * (math.log(x) - harmonic_tail(m + 1))
+    return -(x ** (m + 1)) / math.factorial(m + 1) * (math.log(x) - _harmonic_tail(m + 1))
 
 
 def min_power_haar_integral(n: int, epsilon: float) -> float:

@@ -266,12 +266,15 @@ class TestHarmonicTable:
     def test_cache_hit_returns_same_object(self):
         assert _harmonic(7) is _harmonic(7)
 
-    def test_harmonic_tail_is_its_own_sum(self):
-        # harmonic_tail keeps its scalar loop and does not read the table
-        before = _harmonic.cache_info()
-        for k in range(1, 65):
-            assert harmonic_tail(k) == sum(1.0 / j for j in range(2, k + 1))
-        assert _harmonic.cache_info() == before
+    def test_harmonic_tail_reads_the_table(self):
+        # the tail is the table entry H_k - 1; summed from 1 instead of 1/2,
+        # it sits within 9e-15 of the plain loop 1/2 + ... + 1/k to k = 2000
+        loop = 0.0
+        for k in range(1, 2001):
+            if k > 1:
+                loop += 1.0 / k
+            assert harmonic_tail(k) == float(_harmonic(k)[k] - 1.0)
+            assert abs(harmonic_tail(k) - loop) <= 9e-15
 
 
 class TestSubentropyDepolarized:

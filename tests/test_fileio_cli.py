@@ -1,12 +1,27 @@
+import hashlib
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infopurity import Ensemble, Povm, ValidationError, pure_state_density
-from infopurity.cli import curve_csv_text, main
+from infopurity import (
+    Ensemble,
+    Povm,
+    ValidationError,
+    _checks,
+    epsilon_for_purity,
+    max_accessible_information,
+    max_subentropy_at_purity,
+    min_informational_power,
+    pure_state_density,
+    tradeoff,
+)
+from infopurity.cli import build_parser, curve_csv_text, main
+from infopurity.entropy import _subentropy_depolarized
 from infopurity.fileio import (
     _write,
     decode_ensemble,
@@ -297,6 +312,30 @@ class TestGoldenText:
         assert rows == [format(x, ".17g") for x in values.ravel().tolist()]
 
 
+# sha256 of curve_csv_text(n, points), recorded when every row still went
+# through the public scalar calls
+CURVE_SHA256 = {
+    500: {
+        2: "1af4cfd0c8a9dc4ead9bd6faeab9ddee8e8f26a978863b11a5fc211871de4712",
+        3: "d13dc36edd13ee4b84aa29e1613eba68fcd944dfe7037b01a7574a92a10c9d43",
+        4: "c853baf21617509f23eeaa7b21f41662da77df3b2ee3a42b1996ad41667a344b",
+        5: "77ebac9303dae56702115048acdef20fb6799c39ff2d3cd85ce47f47a850fa55",
+        6: "f8f128eaafe9183a39b7b327279b5278027bf2562e4e6a7c3683fb0cd7df9310",
+        7: "702dcb4deb1ba2af901172bedc664f1e94cca7c6d4315e9fa0bdb70303e821eb",
+        8: "b68a577ff92b734b6a601b5bfc357065831addb7c678f275aceb4ea54d1154df",
+    },
+    512: {
+        2: "55e7b2236073441a57eec58c66fde73d28efb38756e3610fd1966afd814934ec",
+        3: "31c8e285ba27d917028bb7f4e2f04b36faaa0e23b4ab2f5d082b5b93a0194e7f",
+        4: "edadb8a5efec6b227a6c67ede96cd66f7e5dfcfe91d6d0aacc515f626709d5cb",
+        5: "a9bfbe6d789188bbf3005cd065abf356194331242de49764cbe76157b8eb0985",
+        6: "63d90d8e9b304ba7a896f06e2b9a82d14d14d83f8f1576325e5f52b6ba23195d",
+        7: "8b643e512c7747730c0fa2af2c436f1de1537dee49100bf1ea2fc5e9d58f68a5",
+        8: "661a3ff9b9d8dd0eac876a625c4ab8d037c784f525ea23b5f6072526e92d0bc9",
+    },
+}
+
+
 class TestCurveCommand:
     def test_two_point_qubit_rows(self):
         text = curve_csv_text(2, 2)
@@ -339,6 +378,66 @@ class TestCurveCommand:
     def test_cli_write_failure(self, tmp_path):
         missing = tmp_path / "nope" / "c.csv"
         assert main(["curve", "--n", "2", "--points", "2", "--out", str(missing)]) == 1
+
+    @pytest.mark.parametrize("points", [500, 512])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_golden_sha256(self, n, points):
+        digest = hashlib.sha256(curve_csv_text(n, points).encode()).hexdigest()
+        assert digest == CURVE_SHA256[points][n]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(2, 8), points=st.integers(2, 600))
+    def test_rows_match_public_scalars(self, n, points):
+        rows = [r.split(",") for r in curve_csv_text(n, points).splitlines()[1:]]
+        grid = np.linspace(1.0 / n, 1.0, points).tolist()
+        assert len(rows) == len(grid)
+        for row, p in zip(rows, grid):
+            assert row[3] == f"{min_informational_power(n, p).value:.6f}"
+            assert row[4] == f"{max_accessible_information(n, p).value:.6f}"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(2, 8), t=st.floats(0.0, 1.0))
+    def test_public_scalars_equal_kernels(self, n, t):
+        p = min(1.0 / n + t * (1.0 - 1.0 / n), 1.0)
+        eps = tradeoff._epsilon(n, p)
+        m, alpha, a, b = tradeoff._two_level_params(n, p)
+        assert epsilon_for_purity(n, p) == eps
+        lower = min_informational_power(n, p)
+        assert lower.value == tradeoff._min_power(n, eps, tradeoff._harmonic_tail(n))
+        assert lower.params == {"epsilon": eps, "a": (1.0 - eps) / n, "b": eps + (1.0 - eps) / n}
+        upper = max_accessible_information(n, p)
+        assert upper.value == tradeoff._max_access(n, m, a, b)
+        assert upper.params == {"m": m, "alpha": alpha, "a": a, "b": b}
+        assert max_subentropy_at_purity(n, p).value == _subentropy_depolarized(n, eps)
+
+    def test_checks_once_per_csv(self, monkeypatch):
+        # the arguments are checked for the whole grid, not per point
+        calls = []
+        for name in ("integer", "real", "items", "array", "probabilities"):
+            check = getattr(_checks, name)
+
+            def counted(*args, _check=check, _name=name, **kwargs):
+                calls.append(_name)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(_checks, name, counted)
+        for n in range(2, 9):
+            for points in (2, 500):
+                calls.clear()
+                curve_csv_text(n, points)
+                assert calls == ["integer", "integer"]
+
+    def test_cached_parser_keeps_exit_codes(self, tmp_path):
+        out = str(tmp_path / "c.csv")
+        assert build_parser() is build_parser()
+        for _ in range(3):
+            assert main(["curve", "--n", "9", "--points", "4", "--out", out]) == 2
+            assert main(["curve", "--n", "2", "--points", "4", "--out", out]) == 0
+            assert main(["curve", "--n", "2", "--points", "1", "--out", out]) == 2
+            with pytest.raises(SystemExit) as err:
+                main(["curve", "--n", "two", "--points", "4", "--out", out])
+            assert err.value.code == 2
+        assert build_parser() is build_parser()
 
 
 class TestBoundsCommand:

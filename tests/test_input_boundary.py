@@ -49,7 +49,8 @@ from infopurity import (
     shannon_entropy,
     subentropy_depolarized,
 )
-from infopurity.cli import main
+from infopurity import entropy
+from infopurity.cli import curve_csv_text, main
 from infopurity.fileio import decode_ensemble, decode_povm, save_ensemble
 from infopurity.tradeoff import depolarized_haar_ensemble
 
@@ -102,6 +103,22 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
             DimensionTooLargeError,
         ),
         (lambda: min_power_haar_integral(200, 0.5), DimensionTooLargeError),
+        # (b - a)^(k-1) underflows to zero in the binomial sum
+        (lambda: subentropy_depolarized(400, 0.01), DimensionTooLargeError),
+        (
+            lambda: min_informational_power(400, purity_for_epsilon(400, 0.01)),
+            DimensionTooLargeError,
+        ),
+        (
+            lambda: max_subentropy_at_purity(400, purity_for_epsilon(400, 0.01)),
+            DimensionTooLargeError,
+        ),
+        (lambda: curve_csv_text(400, 3), DimensionTooLargeError),
+        (lambda: curve_csv_text(2, -1), ValidationError),
+        (lambda: curve_csv_text(2, 1), ValidationError),
+        (lambda: curve_csv_text(2, 2.5), ValidationError),
+        (lambda: curve_csv_text(1, 5), ValidationError),
+        (lambda: curve_csv_text(True, 5), ValidationError),
     ],
     ids=[
         "spectrum-str", "joint-str", "shannon-str", "ensemble-str-weight",
@@ -114,11 +131,24 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",
         "min-power-binomial-overflow", "min-power-series-overflow",
         "subentropy-series-overflow", "subentropy-max-overflow", "haar-integral-overflow",
+        "subentropy-binomial-underflow", "min-power-binomial-underflow",
+        "subentropy-max-binomial-underflow", "csv-binomial-underflow",
+        "csv-negative-points", "csv-one-point", "csv-float-points", "csv-dim-1",
+        "csv-bool-dim",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_raises_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_non_finite_depolarized_subentropy_raises(monkeypatch):
+    # the last guard of the kernel: a nan or inf sum is never returned
+    for bad in (math.nan, math.inf):
+        monkeypatch.setattr(entropy, "_depolarized_series", lambda n, eps, harm, v=bad: v)
+        with pytest.raises(DimensionTooLargeError):
+            subentropy_depolarized(3, 0.01)
 
 
 def _renyi_reference(lam, alpha):

@@ -41,6 +41,10 @@ class TestHarmonicTail:
         with pytest.raises(InvalidKError):
             harmonic_tail(0)
 
+    def test_returns_float(self):
+        for k in range(1, 21):
+            assert type(harmonic_tail(k)) is float
+
 
 class TestMinInformationalPower:
     def test_endpoints_exact(self):
