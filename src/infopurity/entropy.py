@@ -245,7 +245,7 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
     series to avoid the (b-a)^(k-1) cancellation.  Continuous at eps -> 0
     with limit ln n - S_n, and zero at eps = 1.  Raises
     ``DimensionTooLargeError`` where float64 overflows or the result is
-    not finite.
+    not finite or leaves [0, ln n - S_n] by more than 1e-12.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
@@ -281,8 +281,10 @@ def _subentropy_depolarized(n: int, epsilon: float) -> float:
         raise DimensionTooLargeError(
             f"n = {n} leaves the float64 range at eps = {epsilon!r}"
         ) from exc
-    if not math.isfinite(q):
-        raise DimensionTooLargeError(f"n = {n} gives subentropy {q!r} at eps = {epsilon!r}")
-    if -1e-12 < q < 0.0:
-        q = 0.0
-    return q
+    # cancellation in the sums can leave the range of Q, or give nan or inf
+    q_max = math.log(n) - (harm[n] - 1.0)
+    if not -1e-12 <= q <= q_max + 1e-12:
+        raise DimensionTooLargeError(
+            f"n = {n} gives subentropy {q!r} outside [0, {q_max!r}] at eps = {epsilon!r}"
+        )
+    return q if q >= 0.0 else 0.0

@@ -8,7 +8,10 @@ per-shard summaries in a fixed-shape pairwise tree, so the reduction is
 independent of scheduling and of the number of workers.  The estimator
 reads only the radius uniforms of those same streams: the overlap
 |<e1|phi>|^2 of a Haar state is a ratio of squared radii, so no state
-vector is built.
+vector is built.  A shard draws its states in blocks of a fixed number of
+uniforms, so each worker holds a working set of about 1 MiB at every
+dimension; the blocks continue one stream, so estimates do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import EpsilonOutOfRangeError, ValidationError
 
 # samples per shard; part of the fixed stream layout
 SHARD_SIZE = 1 << 14
+# uniforms drawn at once by a shard; not part of the layout
+_BLOCK_UNIFORMS = 1 << 15
 
 
 class HaarSampler:
@@ -60,10 +65,18 @@ class HaarSampler:
 
         With z_k = r_k e^{i theta_k} the phases cancel, so the overlap is
         r_0^2 / sum_k r_k^2; it equals ``abs(states(count)[:, 0]) ** 2``
-        up to rounding and advances the stream by the same draws.
+        up to rounding and advances the stream by the same draws.  The
+        states are drawn in blocks of about ``_BLOCK_UNIFORMS`` uniforms, so
+        the working set is about 1 MiB whatever the dimension; consecutive
+        draws continue one stream and each overlap reads only its own row,
+        so the result does not depend on the block size.
         """
-        radius_sq, _ = self._draw(count)
-        return radius_sq[:, 0] / radius_sq.sum(axis=1)
+        out = np.empty(count)
+        step = max(1, _BLOCK_UNIFORMS // (2 * self.dim))
+        for start in range(0, count, step):
+            radius_sq, _ = self._draw(min(step, count - start))
+            out[start : start + step] = radius_sq[:, 0] / radius_sq.sum(axis=1)
+        return out
 
     def states(self, count: int) -> np.ndarray:
         """Draw ``count`` unit-norm state vectors, shape (count, dim)."""
@@ -135,7 +148,8 @@ def mc_min_power_estimate(
     reading only their radius columns: |<e1|phi>|^2 = r_0^2 / sum_k r_k^2,
     so no state vector is built and the determinism contract is unchanged.
     ``threads`` caps the worker threads, which are also at most one per
-    shard and one per CPU; the result does not depend on it.
+    shard and one per CPU this process may run on; the result does not
+    depend on it.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
@@ -159,7 +173,11 @@ def mc_min_power_estimate(
         sq = float(((vals - mean) ** 2).sum())
         return (len(vals), mean, sq)
 
-    workers = min(threads, len(shard_counts), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # honours taskset and cpusets
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(shard_counts), cpus)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         summaries = list(pool.map(run_shard, range(len(shard_counts))))
 

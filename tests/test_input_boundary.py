@@ -114,6 +114,25 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
             DimensionTooLargeError,
         ),
         (lambda: curve_csv_text(400, 3), DimensionTooLargeError),
+        # cancellation leaves [0, ln n - (H_n - 1)] without overflowing
+        (lambda: subentropy_depolarized(20, 0.01), DimensionTooLargeError),
+        (
+            lambda: min_informational_power(20, purity_for_epsilon(20, 0.01)),
+            DimensionTooLargeError,
+        ),
+        (
+            lambda: max_subentropy_at_purity(20, purity_for_epsilon(20, 0.01)),
+            DimensionTooLargeError,
+        ),
+        (lambda: subentropy_depolarized(24, 0.01), DimensionTooLargeError),
+        (
+            lambda: min_informational_power(24, purity_for_epsilon(24, 0.01)),
+            DimensionTooLargeError,
+        ),
+        (
+            lambda: max_subentropy_at_purity(24, purity_for_epsilon(24, 0.01)),
+            DimensionTooLargeError,
+        ),
         (lambda: curve_csv_text(2, -1), ValidationError),
         (lambda: curve_csv_text(2, 1), ValidationError),
         (lambda: curve_csv_text(2, 2.5), ValidationError),
@@ -133,6 +152,9 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "subentropy-series-overflow", "subentropy-max-overflow", "haar-integral-overflow",
         "subentropy-binomial-underflow", "min-power-binomial-underflow",
         "subentropy-max-binomial-underflow", "csv-binomial-underflow",
+        "subentropy-out-of-range-n20", "min-power-out-of-range-n20",
+        "subentropy-max-out-of-range-n20", "subentropy-out-of-range-n24",
+        "min-power-out-of-range-n24", "subentropy-max-out-of-range-n24",
         "csv-negative-points", "csv-one-point", "csv-float-points", "csv-dim-1",
         "csv-bool-dim",
     ],

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,8 +76,8 @@ class TestMcEstimate:
         }
         assert len(values) == 1
 
-    def test_threads_is_a_cap(self, monkeypatch):
-        # at most one worker per shard and per CPU, whatever is asked for
+    @staticmethod
+    def _record_workers(monkeypatch):
         requested = []
 
         class Recording(montecarlo.ThreadPoolExecutor):
@@ -85,11 +86,40 @@ class TestMcEstimate:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        return requested
+
+    def _estimate(self, threads):
         samples = 3 * montecarlo.SHARD_SIZE
-        capped = mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=10**6)
-        single = mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=1)
-        assert requested == [min(3, os.cpu_count() or 1), 1]
+        return mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=threads)
+
+    def test_threads_is_a_cap(self, monkeypatch):
+        # at most one worker per shard and per usable CPU, whatever is asked for
+        requested = self._record_workers(monkeypatch)
+        capped = self._estimate(10**6)
+        single = self._estimate(1)
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert requested == [min(3, usable), 1]
         assert capped.mean == single.mean
+
+    def test_cap_counts_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU (taskset, a cpuset) gets one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        requested = self._record_workers(monkeypatch)
+        self._estimate(8)
+        assert requested == [1]
+
+    def test_cap_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        requested = self._record_workers(monkeypatch)
+        for cpus in (None, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            self._estimate(8)
+        assert requested == [1, 2]
 
     def test_three_sigma_consistency(self):
         analytic = min_informational_power(2, purity_for_epsilon(2, 0.7)).value
@@ -167,6 +197,84 @@ class TestOverlapShard:
             for k in (1, 2)
         }
         assert len(values) == 1
+
+
+def _block(n):
+    return max(1, montecarlo._BLOCK_UNIFORMS // (2 * n))
+
+
+# (mean, std_error) of mc_min_power_estimate(n, 0.5, 2 * SHARD_SIZE + 777,
+# HaarSampler(n, 20 + n)) as float.hex, recorded before shards were blocked
+GOLDEN = {
+    2: ("0x1.63e9a580e1b80p-5", "0x1.026e732c6ac4fp-11"),
+    3: ("0x1.ef3d1c1e9bfe0p-5", "0x1.643f96d2f7b58p-12"),
+    4: ("0x1.204aa808d2fc0p-4", "0x1.794ae5e341dbap-11"),
+    5: ("0x1.38c5bc4f0d710p-4", "0x1.2c645ab3cf4e0p-10"),
+    6: ("0x1.47b0924e64300p-4", "0x1.92aaf5141bdecp-10"),
+    7: ("0x1.5d9c3ed4c60b0p-4", "0x1.ef75468f67bdep-10"),
+    8: ("0x1.5d94c2f9e64d0p-4", "0x1.220cfb0afbef0p-9"),
+}
+
+
+class TestBlockedOverlaps:
+    """A shard draws its states in blocks of a fixed number of uniforms; the
+    overlaps, the stream position and the estimates keep every bit."""
+
+    @pytest.mark.parametrize("n", [*range(2, 9), 16, 64])
+    def test_equals_one_draw(self, n):
+        b = _block(n)
+        for count in (1, b - 1, b, b + 1, 3 * b + 7, 16384):
+            radius_sq, _ = HaarSampler(n, 5, 3)._draw(count)
+            whole = radius_sq[:, 0] / radius_sq.sum(axis=1)
+            blocked = HaarSampler(n, 5, 3)._overlaps(count)
+            assert blocked.shape == (count,)
+            assert np.array_equal(blocked, whole), (n, count)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_leaves_the_stream_where_one_draw_does(self, n):
+        count = 3 * _block(n) + 7
+        drawn = HaarSampler(n, 2, 9)
+        drawn._draw(count)
+        blocked = HaarSampler(n, 2, 9)
+        blocked._overlaps(count)
+        assert np.array_equal(blocked.states(5), drawn.states(5))
+
+    @pytest.mark.parametrize("block_uniforms", [1, 7, 1000, 1 << 20])
+    def test_block_size_does_not_matter(self, monkeypatch, block_uniforms):
+        n, count = 3, 2 * montecarlo.SHARD_SIZE + 777
+        ref_overlaps = HaarSampler(n, 1, 4)._overlaps(1234)
+        ref = mc_min_power_estimate(n, 0.5, count, HaarSampler(n, 23))
+        monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", block_uniforms)
+        assert np.array_equal(HaarSampler(n, 1, 4)._overlaps(1234), ref_overlaps)
+        est = mc_min_power_estimate(n, 0.5, count, HaarSampler(n, 23), threads=2)
+        assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_golden_estimates(self, n, threads):
+        est = mc_min_power_estimate(
+            n, 0.5, 2 * montecarlo.SHARD_SIZE + 777, HaarSampler(n, 20 + n), threads=threads
+        )
+        mean, std_error = GOLDEN[n]
+        assert est.mean == float.fromhex(mean)
+        assert est.std_error == float.fromhex(std_error)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_shard_working_set_does_not_grow_with_n(self, n):
+        # one 16384-sample shard peaked at 1, 4 and 16 MiB before blocking
+        mc_min_power_estimate(n, 0.5, 16384, threads=1)
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mc_min_power_estimate(n, 0.5, 16384, threads=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
 
 
 class TestTightnessProbe:
