@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .errors import (
 )
 from .operators import DensityOperator, JointDistribution, Spectrum
 
-# adjacent eigenvalues closer than this (relative) gap are merged into one
-# confluent node and handled by derivatives
+# ascending eigenvalues whose gap is below CLUSTER_RTOL * max(1, |x|) merge
+# into one confluent node handled by derivatives; on a spectrum in [0, 1]
+# that is an absolute gap of 1e-7
 CLUSTER_RTOL = 1e-7
 
 # floor under every clamped log argument: log(0) reads as about -690.8
@@ -121,12 +123,12 @@ def _spectrum_values(spectrum) -> np.ndarray:
     return _checks.probabilities(spectrum, "spectrum", NotNormalizedError, ndim=None)
 
 
-def _clusters(values: np.ndarray) -> list[tuple[float, int]]:
-    """(value, multiplicity) nodes of an ascending vector: adjacent entries
+def _clusters(values: list[float]) -> list[tuple[float, int]]:
+    """(value, multiplicity) nodes of an ascending sequence: adjacent entries
     whose gap is below CLUSTER_RTOL * max(1, |value|) merge into one node
     at the cluster mean."""
     clusters: list[list[float]] = []
-    for x in values.tolist():
+    for x in values:
         if clusters and x - clusters[-1][-1] < CLUSTER_RTOL * max(1.0, abs(x)):
             clusters[-1].append(x)
         else:
@@ -143,7 +145,34 @@ def _harmonic(n: int) -> np.ndarray:
     return h
 
 
-def _xnlnx_derivative(x: float, k: int, n: int, harm: np.ndarray) -> float:
+class _Table(NamedTuple):
+    """Per-n constants of the subentropy kernels, as Python floats."""
+
+    harm: tuple[float, ...]  # H_0 .. H_n
+    tail: float  # H_n - 1
+    # (k, C(n, k), H_k - 1) for k = 2 .. n, cut at the first C(n, k) that
+    # does not fit a float
+    terms: tuple[tuple[int, float, float], ...]
+    q_max: float  # ln n - (H_n - 1), the largest subentropy in dimension n
+
+
+@functools.lru_cache(maxsize=128)
+def _table(n: int) -> _Table:
+    """The cached ``_Table`` of dimension n >= 1, read from ``_harmonic(n)``."""
+    harm = tuple(_harmonic(n).tolist())
+    terms = []
+    comb = n
+    for k in range(2, n + 1):
+        comb = comb * (n - k + 1) // k  # exact C(n, k)
+        try:
+            terms.append((k, float(comb), harm[k] - 1.0))
+        except OverflowError:
+            break
+    tail = harm[n] - 1.0
+    return _Table(harm, tail, tuple(terms), math.log(n) - tail)
+
+
+def _xnlnx_derivative(x: float, k: int, n: int, harm: tuple[float, ...]) -> float:
     """k-th derivative of f(t) = t^n ln(t) at t = x >= 0, for 0 <= k <= n-1.
 
     Closed form: n!/(n-k)! * x^(n-k) * (ln x + H_n - H_{n-k}); extends
@@ -160,25 +189,27 @@ def _confluent_divided_difference(nodes: list[tuple[float, int]], n: int) -> flo
     (value, multiplicity) nodes.
 
     Repeated nodes are resolved by f[x,...,x (m times)] = f^(m-1)(x)/(m-1)!.
+    The node values must ascend strictly, so two table entries share a node
+    exactly when their values are equal.
     """
-    harm = _harmonic(n)
+    harm = _table(n).harm
+    h_n = harm[n]
     zs: list[float] = []
-    cluster_id: list[int] = []
-    for idx, (val, mult) in enumerate(nodes):
+    for val, mult in nodes:
         zs.extend([val] * mult)
-        cluster_id.extend([idx] * mult)
     m = len(zs)
-    col = [_xnlnx_derivative(z, 0, n, harm) for z in zs]
+    # f itself, the k = 0 case of _xnlnx_derivative with its rounding kept
+    col = [z**n * (math.log(z) + h_n - h_n) if z > 0.0 else 0.0 for z in zs]
+    # column j overwrites column j - 1 in place: entry i reads i + 1 before
+    # that entry is overwritten
     for j in range(1, m):
-        nxt = []
+        fact = math.factorial(j)
         for i in range(m - j):
-            if cluster_id[i + j] == cluster_id[i]:
-                nxt.append(
-                    _xnlnx_derivative(zs[i], j, n, harm) / math.factorial(j)
-                )
+            gap = zs[i + j] - zs[i]
+            if gap:
+                col[i] = (col[i + 1] - col[i]) / gap
             else:
-                nxt.append((col[i + 1] - col[i]) / (zs[i + j] - zs[i]))
-        col = nxt
+                col[i] = _xnlnx_derivative(zs[i], j, n, harm) / fact
     return col[0]
 
 
@@ -191,17 +222,17 @@ def subentropy(spectrum) -> float:
     over [0, ln n - harmonic_tail(n)], the maximum sitting at the
     maximally mixed spectrum.
     """
-    v = _spectrum_values(spectrum)
-    n = v.size
+    v = _spectrum_values(spectrum).tolist()
+    n = len(v)
     if n == 1:
         return 0.0
-    q = -_confluent_divided_difference(_clusters(np.sort(v)), n)
+    q = -_confluent_divided_difference(_clusters(sorted(v)), n)
     if -1e-12 < q < 0.0:
         q = 0.0
-    return float(q)
+    return q
 
 
-def _depolarized_series(n: int, epsilon: float, harm: list[float]) -> float:
+def _depolarized_series(n: int, epsilon: float, harm: tuple[float, ...]) -> float:
     """Small-epsilon expansion of Q around the fully degenerate spectrum.
 
     Expands the divided difference f[a,...,a,b] of f(x) = x^n ln(x) as a
@@ -256,25 +287,22 @@ def _subentropy_depolarized(n: int, epsilon: float) -> float:
     # unchecked kernel of subentropy_depolarized: an int n >= 2 and a float
     # eps in [0, 1]; the table entries are Python floats, so a vanishing
     # (b-a)^(k-1) raises ZeroDivisionError instead of warning and giving nan
-    harm = _harmonic(n).tolist()
+    table = _table(n)
     try:
         if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
-            q = _depolarized_series(n, epsilon, harm)
+            q = _depolarized_series(n, epsilon, table.harm)
         else:
             a = (1.0 - epsilon) / n
             b = epsilon + a
             c = epsilon  # b - a, exactly
-            sig_n = harm[n] - 1.0  # S_n = H_n - 1
+            sig_n = table.tail  # S_n = H_n - 1
             total = -sig_n
             if a > 0.0:
+                if len(table.terms) < n - 1:
+                    raise OverflowError("C(n, k) does not fit a float")
                 log_a = math.log(a)
-                for k in range(2, n + 1):
-                    total += (
-                        math.comb(n, k)
-                        * a**k
-                        * (log_a - (harm[k] - 1.0))
-                        / c ** (k - 1)
-                    )
+                for k, comb, sig_k in table.terms:
+                    total += comb * a**k * (log_a - sig_k) / c ** (k - 1)
             total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)
             q = total
     except (OverflowError, ZeroDivisionError) as exc:
@@ -282,7 +310,7 @@ def _subentropy_depolarized(n: int, epsilon: float) -> float:
             f"n = {n} leaves the float64 range at eps = {epsilon!r}"
         ) from exc
     # cancellation in the sums can leave the range of Q, or give nan or inf
-    q_max = math.log(n) - (harm[n] - 1.0)
+    q_max = table.q_max
     if not -1e-12 <= q <= q_max + 1e-12:
         raise DimensionTooLargeError(
             f"n = {n} gives subentropy {q!r} outside [0, {q_max!r}] at eps = {epsilon!r}"

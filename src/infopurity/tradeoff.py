@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks
-from .entropy import _harmonic, _subentropy_depolarized, xlnx
+from .entropy import _subentropy_depolarized, _table, xlnx
 from .errors import (
     AlphaOutOfRangeError,
     CountTooSmallError,
@@ -45,7 +45,7 @@ from .operators import (
 
 def harmonic_tail(k: int) -> float:
     """Partial harmonic sum 1/2 + 1/3 + ... + 1/k (zero for k = 1), read
-    from the cached table H_k - 1."""
+    from the cached per-k table as H_k - 1."""
     return _harmonic_tail(_checks.integer(k, "k", 1, error=InvalidKError))
 
 
@@ -61,7 +61,7 @@ def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
 
 
 def _harmonic_tail(k: int) -> float:
-    return float(_harmonic(k)[k] - 1.0)
+    return _table(k).tail
 
 
 def _epsilon(n: int, purity: float) -> float:

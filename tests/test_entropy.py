@@ -8,7 +8,11 @@ from infopurity import (
     DensityOperator,
     EpsilonOutOfRangeError,
     NotNormalizedError,
+    Spectrum,
+    max_subentropy_at_purity,
+    min_informational_power,
     mutual_information,
+    purity_for_epsilon,
     relative_entropy,
     renyi_entropy,
     shannon_entropy,
@@ -16,7 +20,7 @@ from infopurity import (
     subentropy_depolarized,
     von_neumann_entropy,
 )
-from infopurity.entropy import _clusters, _harmonic
+from infopurity.entropy import _clusters, _harmonic, _table
 from infopurity.tradeoff import harmonic_tail
 from infopurity.operators import depolarize, purity
 
@@ -266,6 +270,24 @@ class TestHarmonicTable:
     def test_cache_hit_returns_same_object(self):
         assert _harmonic(7) is _harmonic(7)
 
+    def test_record_holds_the_table_as_python_floats(self):
+        # C(n, k) from the exact recurrence equals math.comb rounded once
+        for n in range(1, 201):
+            record = _table(n)
+            assert record.harm == tuple(_harmonic(n).tolist())
+            assert record.tail == float(_harmonic(n)[n] - 1.0)
+            assert record.q_max == math.log(n) - record.tail
+            assert record.terms == tuple(
+                (k, float(math.comb(n, k)), record.harm[k] - 1.0) for k in range(2, n + 1)
+            )
+        # past the float range the terms stop before the first C(n, k) that
+        # does not convert to a float
+        last_k, last_comb, _ = _table(1100).terms[-1]
+        assert last_comb == float(math.comb(1100, last_k))
+        with pytest.raises(OverflowError):
+            float(math.comb(1100, last_k + 1))
+        assert _table(1100) is _table(1100)
+
     def test_harmonic_tail_reads_the_table(self):
         # the tail is the table entry H_k - 1; summed from 1 instead of 1/2,
         # it sits within 9e-15 of the plain loop 1/2 + ... + 1/k to k = 2000
@@ -339,3 +361,257 @@ class TestDerivativeForm:
     def test_rejects_confluent_point(self):
         with pytest.raises(EpsilonOutOfRangeError):
             subentropy_depolarized_derivative_form(3, 0.0)
+
+
+# Golden values, as float.hex, of the subentropy kernels: any change to the
+# clustering, the confluent table or the depolarized sums that moves a bit
+# fails here.  The inputs are exact Python floats; the Dirichlet draws are
+# written out so that no generator version can move them.
+GOLDEN_DIRICHLET = {
+    2: [0.8816407837551165, 0.11835921624488352],
+    3: [0.044574567761684225, 0.3413263514648242, 0.6140990807734914],
+    4: [0.18363363690195741, 0.40759602388138577, 0.34096563687368525, 0.06780470234297156],
+    5: [0.3974615427963056, 0.15145945661337218, 0.16997941098517458, 0.2805145704483091,
+        0.000585019156838706],
+    6: [0.013220356720422861, 0.5176707946717415, 0.35604378188829966, 0.053438237355297305,
+        0.05174931820013667, 0.007877511164101916],
+    7: [0.2987783761578501, 0.15901406972300658, 0.10833132636543456, 0.027774376197659257,
+        0.026468157510591433, 0.34016939434864985, 0.03946429969680819],
+    8: [0.08152898202599887, 0.024928025784904148, 0.20462237582859824, 0.02974418803980612,
+        0.16664184300829832, 0.04583231454820134, 0.36415597033764785, 0.08254630042654519],
+}
+
+# the curve-mc spectrum (bench seed 19, item 46) whose subentropy exceeds its
+# purity maximum by 2.563e-08: the float table is off by about +1.9e-7 here,
+# and that known error is pinned too (ROADMAP item 2 mends it)
+SEED19_SPECTRUM = [0.1768212575933507, 0.1620147167270692, 0.1701166753881463,
+                   0.16237879399722197, 0.162667706417952, 0.16600084987625982]
+SEED19_SUBENTROPY = "0x1.5de306a06b0d2p-2"
+
+
+def _two_level(n):
+    # the first n // 2 entries twice the rest
+    weights = [2.0 if k < n // 2 else 1.0 for k in range(n)]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def golden_spectrum(kind, n):
+    if kind == "dirichlet":
+        return GOLDEN_DIRICHLET[n]
+    if kind == "repeated":
+        return _two_level(n)
+    if kind == "near-degenerate":
+        # adjacent entries of _two_level split by 8e-8, below CLUSTER_RTOL
+        v = _two_level(n)
+        for k in range(0, n - 1, 2):
+            v[k] += 4e-8
+            v[k + 1] -= 4e-8
+        return v
+    if kind == "zero":
+        zeros = max(1, n // 3)
+        live = n - zeros
+        return [0.0] * zeros + [(k + 1) / (live * (live + 1) / 2) for k in range(live)]
+    # "near-mixed": gaps of 2e-3 around 1/n, the regime of the seed-19 spectrum
+    return [1.0 / n + 2e-3 * (k - (n - 1) / 2) for k in range(n)]
+
+
+def golden_epsilons(n):
+    # the series branch runs while n eps / (1 - eps) < 0.2, i.e. eps < 0.2 / (n + 0.2)
+    switch = 0.2 / (n + 0.2)
+    return [1e-6, 0.5 * switch, 0.999 * switch, switch, 1.001 * switch, 2.0 * switch, 0.5, 1.0]
+
+
+# subentropy(golden_spectrum(kind, n)) for n = 2..8
+GOLDEN_SUBENTROPY = {
+    "dirichlet": [
+        "0x1.6d047aea17df7p-4", "0x1.9a8333b417a88p-3", "0x1.182f54f5f5c24p-2",
+        "0x1.269e2bc207f49p-2", "0x1.eebb8e2a036b4p-3", "0x1.3b9f36ad62b1dp-2",
+        "0x1.4871910f0db92p-2",
+    ],
+    "repeated": [
+        "0x1.65343dadc38aep-3", "0x1.ffffffffffff4p-3", "0x1.2ac2fe8a8801ep-2",
+        "0x1.438b3d8af044bp-2", "0x1.55c8935a5ae69p-2", "0x1.61db686ebf466p-2",
+        "0x1.6be8b10513a04p-2",
+    ],
+    "near-degenerate": [
+        "0x1.65343c75364d9p-3", "0x1.ffffff058a28fp-3", "0x1.2ac2fe8a8801ep-2",
+        "0x1.438b3d8af0445p-2", "0x1.55c8931813032p-2", "0x1.61db6832903e0p-2",
+        "0x1.6be8b10513a04p-2",
+    ],
+    "zero": [
+        "-0x0.0p+0", "0x1.65343dadc38acp-3", "0x1.f3df32bb2a902p-3",
+        "0x1.215f94db3e4c1p-2", "0x1.215f94db3e4bfp-2", "0x1.3aa181d97d356p-2",
+        "0x1.4c41bac538e5dp-2",
+    ],
+    "near-mixed": [
+        "0x1.8b9066440e0a6p-3", "0x1.0fa480022f20cp-2", "0x1.363951896700ep-2",
+        "0x1.4de9fd4093f2dp-2", "0x1.5dee551031107p-2", "0x1.6979d732ec73ap-2",
+        "0x1.722fd4dbf79dep-2",
+    ],
+}
+
+# f(n, eps) on golden_epsilons(n), keyed by n = 2..8
+GOLDEN_DEPOLARIZED = {
+    "subentropy_depolarized": {
+        2: [
+            "0x1.8b90bfbe8d04ap-3", "0x1.8adc2bf6aec2cp-3", "0x1.88bf6fdd54ab8p-3",
+            "0x1.88bdfdb0f4d50p-3", "0x1.88bc8b2574740p-3", "0x1.803e781dde048p-3",
+            "0x1.33ed9a7bcb418p-3", "0x0.0p+0",
+        ],
+        3: [
+            "0x1.0fa54955ea540p-2", "0x1.0f658a750aa36p-2", "0x1.0ea7bb8628cdbp-2",
+            "0x1.0ea739f54a2c0p-2", "0x1.0ea6b8438e440p-2", "0x1.0bb35940108b0p-2",
+            "0x1.a267c4cca1d20p-3", "0x0.0p+0",
+        ],
+        4: [
+            "0x1.363b6a6937d52p-2", "0x1.360f0fc3f50c2p-2", "0x1.358b346c4092ep-2",
+            "0x1.358ada7d82a00p-2", "0x1.358a80780b800p-2", "0x1.337f58ddf6cc0p-2",
+            "0x1.db19fba8ee050p-3", "0x0.0p+0",
+        ],
+        5: [
+            "0x1.4dee5bd93fb37p-2", "0x1.4dce374911b80p-2", "0x1.4d6eb23686a6fp-2",
+            "0x1.4d6e7113d6000p-2", "0x1.4d6e2fe0b6000p-2", "0x1.4bf384542d700p-2",
+            "0x1.fd9366439bfd0p-3", "0x0.0p+0",
+        ],
+        6: [
+            "0x1.5df631bdb9a1dp-2", "0x1.5dddf770a87cep-2", "0x1.5d95f675c170bp-2",
+            "0x1.5d95c55bf66bap-2", "0x1.5d959435c0000p-2", "0x1.5c78234ef0000p-2",
+            "0x1.0a5f7341f6230p-2", "0x0.0p+0",
+        ],
+        7: [
+            "0x1.6986ba2d7efebp-2", "0x1.6973dc19dbd24p-2", "0x1.693bc5d0db8f2p-2",
+            "0x1.693b9f90d0000p-2", "0x1.693b7946c0000p-2", "0x1.685d10035c000p-2",
+            "0x1.12b16c6c1eb88p-2", "0x0.0p+0",
+        ],
+        8: [
+            "0x1.72432e3ebe12dp-2", "0x1.72341782297fcp-2", "0x1.7207395c4e821p-2",
+            "0x1.72071ac000000p-2", "0x1.7206fc2080000p-2", "0x1.7154fc9766000p-2",
+            "0x1.18f52cc762e80p-2", "0x0.0p+0",
+        ],
+    },
+    "max_subentropy_at_purity": {
+        2: [
+            "0x1.8b90bfbe8d046p-3", "0x1.8adc2bf6aec2ep-3", "0x1.88bf6fdd54ab6p-3",
+            "0x1.88bdfdb0f4d3fp-3", "0x1.88bc8b2574740p-3", "0x1.803e781dde040p-3",
+            "0x1.33ed9a7bcb418p-3", "0x0.0p+0",
+        ],
+        3: [
+            "0x1.0fa54955ea540p-2", "0x1.0f658a750aa36p-2", "0x1.0ea7bb8628cd6p-2",
+            "0x1.0ea739f54a2c0p-2", "0x1.0ea6b8438e440p-2", "0x1.0bb35940108b0p-2",
+            "0x1.a267c4cca1d20p-3", "0x0.0p+0",
+        ],
+        4: [
+            "0x1.363b6a6937d50p-2", "0x1.360f0fc3f50bfp-2", "0x1.358b346c4092cp-2",
+            "0x1.358ada7d82600p-2", "0x1.358a80780b600p-2", "0x1.337f58ddf6d00p-2",
+            "0x1.db19fba8ee050p-3", "0x0.0p+0",
+        ],
+        5: [
+            "0x1.4dee5bd93fb3ap-2", "0x1.4dce374911b82p-2", "0x1.4d6eb23686a6ep-2",
+            "0x1.4d6e7113d5000p-2", "0x1.4d6e2fe0b4800p-2", "0x1.4bf384542d400p-2",
+            "0x1.fd9366439bfd0p-3", "0x0.0p+0",
+        ],
+        6: [
+            "0x1.5df631bdb9a1cp-2", "0x1.5dddf770a87d0p-2", "0x1.5d95f675c170cp-2",
+            "0x1.5d95c55bf66b9p-2", "0x1.5d959435c8000p-2", "0x1.5c78234eef800p-2",
+            "0x1.0a5f7341f6230p-2", "0x0.0p+0",
+        ],
+        7: [
+            "0x1.6986ba2d7efecp-2", "0x1.6973dc19dbd21p-2", "0x1.693bc5d0db8f1p-2",
+            "0x1.693b9f90a198cp-2", "0x1.693b7946a0000p-2", "0x1.685d10035a800p-2",
+            "0x1.12b16c6c1eb88p-2", "0x0.0p+0",
+        ],
+        8: [
+            "0x1.72432e3ebe12bp-2", "0x1.72341782297fcp-2", "0x1.7207395c4e81dp-2",
+            "0x1.72071ac1c4d07p-2", "0x1.7206fc1e80000p-2", "0x1.7154fc9764000p-2",
+            "0x1.18f52cc762e80p-2", "0x0.0p+0",
+        ],
+    },
+    "min_informational_power": {
+        2: [
+            "0x1.7760000000000p-43", "0x1.69278fbf71c00p-12", "0x1.68a7f09ce8300p-10",
+            "0x1.696106ccd3e80p-10", "0x1.6a1a4c8d03e00p-10", "0x1.6a48f4160ef80p-8",
+            "0x1.5e8c950b0ce90p-5", "0x1.8b90bfbe8e7bcp-3",
+        ],
+        3: [
+            "0x1.1980000000000p-42", "0x1.fdf7070651000p-13", "0x1.fb1b9f8540400p-11",
+            "0x1.fc1ec14283000p-11", "0x1.fd2224ba53000p-11", "0x1.f8f80aed71400p-9",
+            "0x1.f38b377cd4240p-5", "0x1.0fa54955eb6d8p-2",
+        ],
+        4: [
+            "0x1.51c0000000000p-42", "0x1.62d52a20d6800p-13", "0x1.606bf9f128000p-11",
+            "0x1.611fd76d8d800p-11", "0x1.61d3e25b8d800p-11", "0x1.5e08c5a12b600p-9",
+            "0x1.22b9b25308910p-4", "0x1.363b6a693926cp-2",
+        ],
+        5: [
+            "0x1.7720000000000p-42", "0x1.0124817b95000p-13", "0x1.fea68aea0f800p-12",
+            "0x1.ffab15b0ab000p-12", "0x1.0057f11955800p-11", "0x1.fad78513eac00p-10",
+            "0x1.3c92a2ddccb10p-4", "0x1.4dee5bd9412acp-2",
+        ],
+        6: [
+            "0x1.9240000000000p-42", "0x1.83a4d12b70000p-14", "0x1.80ed1fe70d000p-12",
+            "0x1.81b1871321c00p-12", "0x1.82761fccd0000p-12", "0x1.7e0e6ecbb4000p-10",
+            "0x1.4e5af9ef14440p-4", "0x1.5df631bdbb340p-2",
+        ],
+        7: [
+            "0x1.a600000000000p-42", "0x1.2de13a4d2b000p-14", "0x1.2bd1729456c00p-12",
+            "0x1.2c6a737c30000p-12", "0x1.2d039b8293000p-12", "0x1.29aa2a2624c00p-10",
+            "0x1.5b55370587b10p-4", "0x1.6986ba2d80a4cp-2",
+        ],
+        8: [
+            "0x1.b5d0000000000p-42", "0x1.e2d792c918000p-15", "0x1.dfa7138a35800p-13",
+            "0x1.e09be7d7c0800p-13", "0x1.e19101fe44000p-13", "0x1.dc634eb791000p-11",
+            "0x1.653805dd73820p-4", "0x1.72432e3ebfc88p-2",
+        ],
+    },
+}
+
+DEPOLARIZED_FORMS = {
+    "subentropy_depolarized": subentropy_depolarized,
+    "max_subentropy_at_purity": lambda n, eps: max_subentropy_at_purity(
+        n, purity_for_epsilon(n, eps)
+    ).value,
+    "min_informational_power": lambda n, eps: min_informational_power(
+        n, purity_for_epsilon(n, eps)
+    ).value,
+}
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("kind", list(GOLDEN_SUBENTROPY))
+    def test_subentropy(self, kind):
+        got = [subentropy(golden_spectrum(kind, n)).hex() for n in range(2, 9)]
+        assert got == GOLDEN_SUBENTROPY[kind]
+
+    def test_golden_spectra_cluster_as_named(self):
+        # the near-degenerate spectra really merge, the near-mixed ones do not
+        for n in range(2, 9):
+            tight = _clusters(sorted(golden_spectrum("near-degenerate", n)))
+            assert len(tight) == len(_clusters(sorted(_two_level(n)))) <= 2
+            assert len(_clusters(sorted(golden_spectrum("near-mixed", n)))) == n
+
+    def test_seed19_known_error_stays(self):
+        assert subentropy(SEED19_SPECTRUM).hex() == SEED19_SUBENTROPY
+
+    @pytest.mark.parametrize("name", list(DEPOLARIZED_FORMS))
+    def test_depolarized_forms(self, name):
+        f = DEPOLARIZED_FORMS[name]
+        for n in range(2, 9):
+            got = [f(n, eps).hex() for eps in golden_epsilons(n)]
+            assert got == GOLDEN_DEPOLARIZED[name][n], f"n = {n}"
+
+    def test_epsilon_grid_crosses_the_series_switch(self):
+        for n in range(2, 9):
+            ratios = [n * e / (1.0 - e) for e in golden_epsilons(n) if e < 1.0]
+            assert min(ratios) < 0.2 <= max(ratios)
+
+
+class TestInputForms:
+    @pytest.mark.parametrize("kind", list(GOLDEN_SUBENTROPY))
+    def test_list_array_and_spectrum_agree(self, kind):
+        for n in range(2, 9):
+            values = golden_spectrum(kind, n)
+            forms = [values, np.array(values), Spectrum(values, normalized=True)]
+            got = [subentropy(v) for v in forms]
+            assert all(type(q) is float for q in got)
+            assert len({q.hex() for q in got}) == 1

@@ -98,8 +98,9 @@ def _write_mode(call: ast.Call) -> bool:
 
 
 def test_shared_rules_have_one_home():
-    # the log floor lives in entropy.py, file writes in fileio.py, and the
-    # package reads no environment variable
+    # the log floor and the harmonic table live in entropy.py (other modules
+    # read H_k through the cached entropy._table record), file writes in
+    # fileio.py, and the package reads no environment variable
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -115,6 +116,12 @@ def test_shared_rules_have_one_home():
                 and path.name != "fileio.py"
             ):
                 found.append(f"{where} open for writing")
+            if (
+                isinstance(node, ast.Call)
+                and "_harmonic" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                and path.name != "entropy.py"
+            ):
+                found.append(f"{where} _harmonic call")
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 found.append(f"{where} environment read")
     assert found == []
