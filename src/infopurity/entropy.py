@@ -1,9 +1,16 @@
 """Classical and quantum entropy functionals.
 
-All quantities are in nats.  The subentropy is evaluated through a
-confluent Newton divided-difference table of f(x) = x^n ln(x), which
-keeps degenerate and near-degenerate spectra exact instead of relying on
-cancellation-prone limits of the rational eigenvalue formula.
+All quantities are in nats.  The subentropy of a spectrum l with unit sum
+is one integral whose integrand is never negative:
+
+    Q(l) = int_0^inf [t/(1+t) - prod_k t/(t+l_k)] dt,
+
+from ln x = int_0^inf [1/(1+t) - 1/(x+t)] dt and the divided difference
+of x^n/(x+t), which is 1 - t^n/prod_k(l_k+t).  With x = 1/t and
+prod_k(1 + l_k x) = 1 + x + N(x), where N(x) = sum_{j>=2} e_j x^j >= 0
+holds the elementary symmetric polynomials e_j of l, the integrand is
+N/((1+x)(1+x+N)): no term cancels, at any gap between eigenvalues and
+at any n.  A trapezoid rule in u = ln t evaluates it.
 """
 
 from __future__ import annotations
@@ -23,11 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .operators import DensityOperator, JointDistribution, Spectrum
-
-# ascending eigenvalues whose gap is below CLUSTER_RTOL * max(1, |x|) merge
-# into one confluent node handled by derivatives; on a spectrum in [0, 1]
-# that is an absolute gap of 1e-7
-CLUSTER_RTOL = 1e-7
 
 # floor under every clamped log argument: log(0) reads as about -690.8
 _LOG_FLOOR = 1e-300
@@ -123,160 +125,117 @@ def _spectrum_values(spectrum) -> np.ndarray:
     return _checks.probabilities(spectrum, "spectrum", NotNormalizedError, ndim=None)
 
 
-def _clusters(values: list[float]) -> list[tuple[float, int]]:
-    """(value, multiplicity) nodes of an ascending sequence: adjacent entries
-    whose gap is below CLUSTER_RTOL * max(1, |value|) merge into one node
-    at the cluster mean."""
-    clusters: list[list[float]] = []
-    for x in values:
-        if clusters and x - clusters[-1][-1] < CLUSTER_RTOL * max(1.0, abs(x)):
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    return [(sum(c) / len(c), len(c)) for c in clusters]
-
-
-@functools.lru_cache(maxsize=128)
-def _harmonic(n: int) -> np.ndarray:
-    """H_0 .. H_n as a read-only array (H_0 = 0), cached per n."""
-    h = np.zeros(n + 1)
-    h[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
-    h.setflags(write=False)
-    return h
-
-
 class _Table(NamedTuple):
     """Per-n constants of the subentropy kernels, as Python floats."""
 
-    harm: tuple[float, ...]  # H_0 .. H_n
     tail: float  # H_n - 1
-    # (k, C(n, k), H_k - 1) for k = 2 .. n, cut at the first C(n, k) that
-    # does not fit a float
-    terms: tuple[tuple[int, float, float], ...]
     q_max: float  # ln n - (H_n - 1), the largest subentropy in dimension n
 
 
 @functools.lru_cache(maxsize=128)
 def _table(n: int) -> _Table:
-    """The cached ``_Table`` of dimension n >= 1, read from ``_harmonic(n)``."""
-    harm = tuple(_harmonic(n).tolist())
+    """The cached ``_Table`` of dimension n >= 1."""
+    h = np.arange(1.0, n + 1.0)
+    np.divide(1.0, h, out=h)
+    # np.cumsum adds in sequence: H_n = ((1 + 1/2) + 1/3) + ... + 1/n
+    tail = float(np.cumsum(h, out=h)[-1]) - 1.0
+    return _Table(tail, math.log(n) - tail)
+
+
+@functools.lru_cache(maxsize=128)
+def _binomial_terms(n: int) -> tuple[tuple[int, float, float], ...]:
+    """(k, C(n, k), H_k - 1) for k = 2 .. n, cut at the first C(n, k) that
+    does not fit a float; H_k is summed in the same sequence as in
+    ``_table``, so H_n - 1 equals its tail."""
     terms = []
     comb = n
+    harm = 1.0
     for k in range(2, n + 1):
         comb = comb * (n - k + 1) // k  # exact C(n, k)
+        harm += 1.0 / k
         try:
-            terms.append((k, float(comb), harm[k] - 1.0))
+            terms.append((k, float(comb), harm - 1.0))
         except OverflowError:
             break
-    tail = harm[n] - 1.0
-    return _Table(harm, tail, tuple(terms), math.log(n) - tail)
+    return tuple(terms)
 
 
-def _xnlnx_derivative(x: float, k: int, n: int, harm: tuple[float, ...]) -> float:
-    """k-th derivative of f(t) = t^n ln(t) at t = x >= 0, for 0 <= k <= n-1.
-
-    Closed form: n!/(n-k)! * x^(n-k) * (ln x + H_n - H_{n-k}); extends
-    continuously to 0 with value 0 because n - k >= 1.
-    """
-    if x <= 0.0:
-        return 0.0
-    coef = math.perm(n, k)
-    return coef * x ** (n - k) * (math.log(x) + harm[n] - harm[n - k])
+# trapezoid nodes u = 0.3 k, |u| <= 40, of the integral in u = ln t: the
+# integrand is analytic for |Im u| < pi, and the tails beyond |u| = 40 add
+# less than e^-40
+_STEP = 0.3
+_X = np.exp(-_STEP * np.arange(-133, 134))  # x = 1/t at each node
+_ONE_PLUS_X = 1.0 + _X
+_WEIGHT = _STEP / (_X * _ONE_PLUS_X)  # step * dt/du / (1 + x)
 
 
-def _confluent_divided_difference(nodes: list[tuple[float, int]], n: int) -> float:
-    """Order-(total-1) divided difference of f(x) = x^n ln(x) on the
-    (value, multiplicity) nodes.
+@functools.lru_cache(maxsize=8)
+def _power_table(rows: int) -> np.ndarray:
+    """x^j at every node, one row per j = 2 .. rows + 1, read-only.  Powers
+    past the float maximum are clipped to it: e_2 + ... + e_m < 1, so no
+    row sum overflows, and a huge N reads as N/(1+x+N) = 1."""
+    with np.errstate(over="ignore"):
+        table = _X ** np.arange(2.0, rows + 2.0)[:, None]
+    np.minimum(table, _checks.FLOAT_MAX, out=table)
+    table.setflags(write=False)
+    return table
 
-    Repeated nodes are resolved by f[x,...,x (m times)] = f^(m-1)(x)/(m-1)!.
-    The node values must ascend strictly, so two table entries share a node
-    exactly when their values are equal.
-    """
-    harm = _table(n).harm
-    h_n = harm[n]
-    zs: list[float] = []
-    for val, mult in nodes:
-        zs.extend([val] * mult)
-    m = len(zs)
-    # f itself, the k = 0 case of _xnlnx_derivative with its rounding kept
-    col = [z**n * (math.log(z) + h_n - h_n) if z > 0.0 else 0.0 for z in zs]
-    # column j overwrites column j - 1 in place: entry i reads i + 1 before
-    # that entry is overwritten
-    for j in range(1, m):
-        fact = math.factorial(j)
-        for i in range(m - j):
-            gap = zs[i + j] - zs[i]
-            if gap:
-                col[i] = (col[i + 1] - col[i]) / gap
-            else:
-                col[i] = _xnlnx_derivative(zs[i], j, n, harm) / fact
-    return col[0]
+
+def _powers(m: int) -> np.ndarray:
+    # rows x^2 .. x^m, sliced from the table of the next power of two, so
+    # a sweep over m holds at most twice the largest table
+    return _power_table(1 << (m - 1).bit_length())[: m - 1]
+
+
+def _subentropy(values: list[float]) -> float:
+    # unchecked kernel of subentropy: non-negative floats with a positive
+    # sum.  Zeros do not change Q and are dropped; the rest are sorted, so
+    # the bits do not depend on the input order, and divided by their
+    # math.fsum.  Every term of the e_j recurrence and of the sum is >= 0.
+    nodes = sorted(v for v in values if v > 0.0)
+    total = math.fsum(nodes)
+    m = len(nodes)
+    e = [1.0] + [0.0] * m
+    for k, v in enumerate(nodes, 1):
+        v /= total
+        for j in range(k, 0, -1):
+            e[j] += v * e[j - 1]
+    n_x = np.array(e[2:]) @ _powers(m)
+    return float(_WEIGHT @ (n_x / (_ONE_PLUS_X + n_x)))
 
 
 def subentropy(spectrum) -> float:
     """Subentropy Q of a normalized spectrum, in nats.
 
-    Equals the negated order-(n-1) divided difference of x^n ln(x) at the
-    eigenvalues; for non-degenerate spectra this coincides with the
-    rational sum -sum_k l_k^n ln(l_k) / prod_{j!=k}(l_k - l_j).  Ranges
-    over [0, ln n - harmonic_tail(n)], the maximum sitting at the
-    maximally mixed spectrum.
+    Q = -sum_k l_k^n ln(l_k) / prod_{j!=k}(l_k - l_j) for distinct
+    eigenvalues and its limit for repeated ones, evaluated as the
+    integral in the module docstring.  The input must sum to 1 within
+    1e-10 and is divided by its ``math.fsum``: the value is Q of that
+    normalized spectrum, in [0, ln n - harmonic_tail(n)].  Against an
+    exact divided difference it is within 5e-16 on equispaced, clustered,
+    Dirichlet, zero-containing and near-pure spectra up to n = 64, and
+    within 5e-15 on the mixed spectrum up to n = 1024.  Neither input
+    order nor form (list, ndarray, ``Spectrum``) changes a bit.
     """
-    v = _spectrum_values(spectrum).tolist()
-    n = len(v)
-    if n == 1:
-        return 0.0
-    q = -_confluent_divided_difference(_clusters(sorted(v)), n)
-    if -1e-12 < q < 0.0:
-        q = 0.0
-    return q
-
-
-def _depolarized_series(n: int, epsilon: float, harm: tuple[float, ...]) -> float:
-    """Small-epsilon expansion of Q around the fully degenerate spectrum.
-
-    Expands the divided difference f[a,...,a,b] of f(x) = x^n ln(x) as a
-    power series in c = b - a = epsilon, using the exact derivative chain
-    f^(n-1)(x) = n! x (ln x + H_n - 1), f^(n)(x) = n! (ln x + H_n) and
-    f^(n+j)(x) = n! (-1)^(j-1) (j-1)! x^-j.  Converges geometrically with
-    ratio ~ n * epsilon / (1 - epsilon).
-    """
-    a = (1.0 - epsilon) / n
-    c = epsilon
-    log_a = math.log(a)
-    total = n * a * (log_a + harm[n] - 1.0)  # m = 0 term
-    total += c * (log_a + harm[n])  # m = 1 term
-    term_base = float(math.factorial(n))
-    for m in range(2, 300):
-        j = m - 1
-        term = (
-            term_base
-            * (-1.0) ** (j - 1)
-            * math.factorial(j - 1)
-            * a ** (-j)
-            * c**m
-            / math.factorial(n + m - 1)
-        )
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return -total
+    return _subentropy(_spectrum_values(spectrum).tolist())
 
 
 def subentropy_depolarized(n: int, epsilon: float) -> float:
     """Closed-form subentropy of a depolarized pure state, in nats.
 
     The spectrum is (b, a, ..., a) with a = (1 - eps)/n and b = eps + a.
-    For eps away from zero this evaluates the binomial sum
+    While n eps/(1 - eps) >= 0.2 this evaluates the binomial sum
 
         sum_{k=2}^n C(n,k) a^k (ln a - S_k)/(b-a)^(k-1)
           - b^n (ln b - S_n)/(b-a)^(n-1) - S_n,
 
-    with S_k the harmonic tail; small eps switches to the confluent power
-    series to avoid the (b-a)^(k-1) cancellation.  Continuous at eps -> 0
-    with limit ln n - S_n, and zero at eps = 1.  Raises
-    ``DimensionTooLargeError`` where float64 overflows or the result is
-    not finite or leaves [0, ln n - S_n] by more than 1e-12.
+    with S_k the harmonic tail; below that, where (b-a)^(k-1) cancels,
+    it runs the integral of ``subentropy`` on the spectrum, within 5e-16
+    up to n = 128 and 5e-15 up to n = 1024.  Continuous at eps -> 0 with
+    limit ln n - S_n, and zero at eps = 1.  Raises
+    ``DimensionTooLargeError`` where the binomial sum overflows float64
+    or its result is not finite or leaves [0, ln n - S_n] by more than
+    1e-12.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
@@ -285,31 +244,32 @@ def subentropy_depolarized(n: int, epsilon: float) -> float:
 
 def _subentropy_depolarized(n: int, epsilon: float) -> float:
     # unchecked kernel of subentropy_depolarized: an int n >= 2 and a float
-    # eps in [0, 1]; the table entries are Python floats, so a vanishing
+    # eps in [0, 1]; the binomial terms are Python floats, so a vanishing
     # (b-a)^(k-1) raises ZeroDivisionError instead of warning and giving nan
+    a = (1.0 - epsilon) / n
+    b = epsilon + a
     table = _table(n)
-    try:
-        if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
-            q = _depolarized_series(n, epsilon, table.harm)
-        else:
-            a = (1.0 - epsilon) / n
-            b = epsilon + a
-            c = epsilon  # b - a, exactly
-            sig_n = table.tail  # S_n = H_n - 1
-            total = -sig_n
+    if epsilon < 1.0 and n * epsilon / (1.0 - epsilon) < 0.2:
+        q = _subentropy([b] + [a] * (n - 1))
+    else:
+        terms = _binomial_terms(n)
+        c = epsilon  # b - a, exactly
+        sig_n = table.tail  # S_n = H_n - 1
+        total = -sig_n
+        try:
             if a > 0.0:
-                if len(table.terms) < n - 1:
+                if len(terms) < n - 1:
                     raise OverflowError("C(n, k) does not fit a float")
                 log_a = math.log(a)
-                for k, comb, sig_k in table.terms:
+                for k, comb, sig_k in terms:
                     total += comb * a**k * (log_a - sig_k) / c ** (k - 1)
             total -= b**n * (math.log(b) - sig_n) / c ** (n - 1)
-            q = total
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DimensionTooLargeError(
-            f"n = {n} leaves the float64 range at eps = {epsilon!r}"
-        ) from exc
-    # cancellation in the sums can leave the range of Q, or give nan or inf
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DimensionTooLargeError(
+                f"n = {n} leaves the float64 range at eps = {epsilon!r}"
+            ) from exc
+        q = total
+    # the binomial sum can cancel out of the range of Q, or to nan or inf
     q_max = table.q_max
     if not -1e-12 <= q <= q_max + 1e-12:
         raise DimensionTooLargeError(

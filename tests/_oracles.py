@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: the
 subentropy oracle integrates over the probability simplex with scipy
 quadrature, the rational-sum oracle evaluates the eigenvalue formula
-directly, the derivative-form subentropy of a depolarized pure state
+directly, the divided-difference oracle runs the confluent Newton table
+of x^n ln x in mpmath with exact derivatives at repeated nodes and enough
+digits to absorb the smallest gap, the derivative-form subentropy of a depolarized pure state
 differentiates the divided-difference identity term by term,
 accessible information for qubits is maximized on a dense
 great-circle grid of projective measurements, and the constrained-entropy
@@ -23,8 +25,10 @@ radius-only shard must agree with it to roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -75,6 +79,40 @@ def subentropy_rational_sum(values) -> float:
                 denom *= lam[k] - lam[j]
         total += lam[k] ** n * math.log(lam[k]) / denom
     return -total
+
+
+def subentropy_divided_difference(values) -> float:
+    """Subentropy of values/sum(values) as the negated order-(n-1) divided
+    difference of f(x) = x^n ln x, in mpmath.
+
+    Equal nodes take f^(k)(x)/k! = C(n, k) x^(n-k) (ln x + H_n - H_(n-k)).
+    The table loses about log10(1/gap) digits per order, so it runs at
+    30 + n log10(1/gap) digits for the smallest gap between distinct
+    entries; about 70 ms at n = 64 with gaps of 1e-6.
+    """
+    n = len(values)
+    distinct = sorted(set(float(v) for v in values))
+    gap = min((b - a for a, b in zip(distinct, distinct[1:])), default=1.0)
+    with mpmath.workdps(30 + int(n * max(0.0, -math.log10(gap)))):
+        nodes = [mpmath.mpf(float(v)) for v in values]
+        total = mpmath.fsum(nodes)
+        z = sorted(v / total for v in nodes)
+        harm = [mpmath.mpf(0)]
+        for k in range(1, n + 1):
+            harm.append(harm[-1] + mpmath.mpf(1) / k)
+
+        @functools.lru_cache(maxsize=None)
+        def taylor(x, k):
+            if x == 0:
+                return mpmath.mpf(0)
+            return mpmath.binomial(n, k) * x ** (n - k) * (mpmath.log(x) + harm[n] - harm[n - k])
+
+        col = [taylor(x, 0) for x in z]
+        for j in range(1, n):
+            for i in range(n - j):
+                gap = z[i + j] - z[i]
+                col[i] = (col[i + 1] - col[i]) / gap if gap else taylor(z[i], j)
+        return float(-col[0])
 
 
 def _joint_information(p: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from infopurity.fileio import (
     save_povm,
 )
 
-from _oracles import random_density_matrix, random_symmetrized_povm
+from _oracles import random_density_matrix, random_symmetrized_povm, subentropy_divided_difference
 
 
 def basis_projector(n, k):
@@ -451,6 +451,20 @@ class TestBoundsCommand:
         assert report["holevo_upper"] == pytest.approx(math.log(2), abs=1e-9)
         assert report["state_purities"] == pytest.approx([1.0, 1.0])
         assert report["average_purity"] == pytest.approx(0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_mixed_basis_ensemble(self, tmp_path, capsys):
+        # eight basis states with weights 1e-4 apart: the bound is Q of the
+        # weights, where the confluent table gave -2.464e+03 and a warning
+        weights = [1.0 / 8 + 1e-4 * (k - 3.5) for k in range(8)]
+        e = Ensemble([(w, basis_projector(8, k)) for k, w in enumerate(weights)])
+        path = tmp_path / "near-mixed.json"
+        save_ensemble(path, e)
+        assert main(["bounds", "--ensemble", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        want = subentropy_divided_difference(weights)
+        assert want == pytest.approx(0.3615842121559936, abs=1e-15)
+        assert abs(report["jrw_lower"] - want) <= 1e-14
 
     def test_single_state_file(self, tmp_path, capsys):
         e = Ensemble([(1.0, random_density_matrix(2, np.random.default_rng(3)))])

@@ -98,7 +98,7 @@ def _write_mode(call: ast.Call) -> bool:
 
 
 def test_shared_rules_have_one_home():
-    # the log floor and the harmonic table live in entropy.py (other modules
+    # the log floor and the harmonic sums live in entropy.py (other modules
     # read H_k through the cached entropy._table record), file writes in
     # fileio.py, and the package reads no environment variable
     found = []
@@ -116,12 +116,10 @@ def test_shared_rules_have_one_home():
                 and path.name != "fileio.py"
             ):
                 found.append(f"{where} open for writing")
-            if (
-                isinstance(node, ast.Call)
-                and "_harmonic" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                and path.name != "entropy.py"
-            ):
-                found.append(f"{where} _harmonic call")
+            if isinstance(node, ast.Call) and path.name != "entropy.py":
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("cumsum", "_binomial_terms"):
+                    found.append(f"{where} {name} call")
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 found.append(f"{where} environment read")
     assert found == []
