@@ -23,8 +23,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import _checks
 from .errors import DimensionTooLargeError, InfopurityError, ValidationError
 from .fileio import _write_text, load_ensemble, load_povm, save_ensemble, save_povm
@@ -37,15 +35,7 @@ from .infomeasures import (
 )
 from .montecarlo import HaarSampler, mc_min_power_estimate
 from .operators import purity
-from .tradeoff import (
-    _epsilon,
-    _harmonic_tail,
-    _max_access,
-    _min_power,
-    _two_level_params,
-    min_informational_power,
-    purity_for_epsilon,
-)
+from .tradeoff import curve_csv_text, min_informational_power, purity_for_epsilon
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -58,28 +48,6 @@ _INT_FLAGS = {
     "n": (2, 8), "points": (2, math.inf), "samples": (1000, math.inf),
     "seed": (0, _checks.SEED_MAX), "restarts": (1, math.inf), "threads": (1, math.inf),
 }
-
-
-def curve_csv_text(n: int, points: int) -> str:
-    """CSV body of both tradeoff curves on a uniform purity grid.
-
-    Each row holds the values of ``min_informational_power`` and
-    ``max_accessible_information`` at one of ``points`` purities spread
-    evenly over [1/n, 1].  Raises ``ValidationError`` unless n and points
-    are integers >= 2, and ``DimensionTooLargeError`` where the lower
-    curve leaves the float64 range.
-    """
-    n = _checks.integer(n, "dimension n", 2)
-    points = _checks.integer(points, "points", 2)
-    tail = _harmonic_tail(n)
-    lines = ["n,P,impurity,q_w,s_a_max"]
-    # the grid runs from 1/n to 1 exactly, so the kernels need no clamp
-    for p in np.linspace(1.0 / n, 1.0, points).tolist():
-        q = _min_power(n, _epsilon(n, p), tail)
-        m, _, a, b = _two_level_params(n, p)
-        s = _max_access(n, m, a, b)
-        lines.append(f"{n},{p:.6f},{1.0 - p:.6f},{q:.6f},{s:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 def gnuplot_script(csv_path: str) -> str:

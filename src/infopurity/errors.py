@@ -46,7 +46,7 @@ class CountTooSmallError(InfopurityError, ValueError):
 
 
 class DimensionTooLargeError(InfopurityError, ValueError):
-    """Dimension beyond reach: optimizers stop at 8, closed forms at float64 overflow."""
+    """Beyond reach: optimizers above n = 8, the lower curve above n = 1024 or out of range."""
 
 
 class NoFeasibleCandidateError(InfopurityError, RuntimeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks
-from .entropy import _subentropy_depolarized, _table, xlnx
+from .entropy import _in_range, _subentropy_depolarized, _table, xlnx
 from .errors import (
     AlphaOutOfRangeError,
     CountTooSmallError,
@@ -46,7 +46,7 @@ from .operators import (
 def harmonic_tail(k: int) -> float:
     """Partial harmonic sum 1/2 + 1/3 + ... + 1/k (zero for k = 1), read
     from the cached per-k table as H_k - 1."""
-    return _harmonic_tail(_checks.integer(k, "k", 1, error=InvalidKError))
+    return _table(_checks.integer(k, "k", 1, error=InvalidKError)).tail
 
 
 def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
@@ -56,21 +56,17 @@ def _dim_and_purity(n: int, purity: float) -> tuple[int, float]:
 
 # Unchecked kernels: the public closed forms check their arguments once,
 # through _dim_and_purity, and call these with an int n >= 2 and values
-# already in range; cli.curve_csv_text calls them per grid point after
+# already in range; curve_csv_text calls them per grid point after
 # checking once for the whole grid.
-
-
-def _harmonic_tail(k: int) -> float:
-    return _table(k).tail
 
 
 def _epsilon(n: int, purity: float) -> float:
     return math.sqrt(max(n * purity - 1.0, 0.0) / (n - 1))
 
 
-def _min_power(n: int, epsilon: float, tail: float) -> float:
-    # tail = H_n - 1, read once by the caller
-    value = math.log(n) - tail - _subentropy_depolarized(n, epsilon)
+def _min_power(n: int, epsilon: float) -> float:
+    # q_max = ln n - (H_n - 1), so this is (ln n - (H_n - 1)) - Q
+    value = _table(n).q_max - _subentropy_depolarized(n, epsilon)
     if -1e-12 < value < 0.0:
         value = 0.0
     return value
@@ -147,8 +143,10 @@ def min_informational_power(n: int, purity: float) -> TradeoffPoint:
 
     Equals ln n - harmonic_tail(n) - Q_dep(n, eps(P)) with Q_dep the
     closed-form depolarized subentropy; zero at P = 1/n and
-    ln n - harmonic_tail(n) at P = 1.  Raises ``DimensionTooLargeError``
-    where the depolarized subentropy does.
+    ln n - harmonic_tail(n) at P = 1.  Finite for n <= 1024, and within
+    3e-10 relative of a 40-digit mpmath value for n = 9..64 at
+    eps >= 0.2/(n + 0.2); the relative error grows as P nears 1/n and the
+    value 0.  Raises ``DimensionTooLargeError`` where Q_dep does.
     """
     n, purity = _dim_and_purity(n, purity)
     eps = _epsilon(n, purity)
@@ -157,7 +155,7 @@ def min_informational_power(n: int, purity: float) -> TradeoffPoint:
     return TradeoffPoint(
         n=n,
         purity=purity,
-        value=_min_power(n, eps, _harmonic_tail(n)),
+        value=_min_power(n, eps),
         source="min_power",
         params={"epsilon": eps, "a": a, "b": b},
     )
@@ -193,12 +191,31 @@ def max_accessible_information(n: int, purity: float) -> TradeoffPoint:
     )
 
 
+def curve_csv_text(n: int, points: int) -> str:
+    """CSV body of both tradeoff curves on a uniform purity grid.
+
+    Each row holds both curves at one of ``points`` purities spread evenly
+    over [1/n, 1].  Raises ``ValidationError`` unless n and points are
+    integers >= 2, and ``DimensionTooLargeError`` where the lower curve does.
+    """
+    n = _checks.integer(n, "dimension n", 2)
+    points = _checks.integer(points, "points", 2)
+    lines = ["n,P,impurity,q_w,s_a_max"]
+    # the grid runs from 1/n to 1 exactly, so the kernels need no clamp
+    for p in np.linspace(1.0 / n, 1.0, points).tolist():
+        q = _min_power(n, _epsilon(n, p))
+        m, _, a, b = _two_level_params(n, p)
+        s = _max_access(n, m, a, b)
+        lines.append(f"{n},{p:.6f},{1.0 - p:.6f},{q:.6f},{s:.6f}")
+    return "\n".join(lines) + "\n"
+
+
 def max_subentropy_at_purity(n: int, purity: float) -> SubentropyMaxSolution:
     """Maximum of the subentropy over states of fixed purity.
 
     Attained by a depolarized pure state with eps = sqrt((nP - 1)/(n - 1));
     the value dominates the subentropy of every spectrum at that purity.
-    Raises ``DimensionTooLargeError`` where the depolarized subentropy does.
+    Raises ``DimensionTooLargeError`` where ``subentropy_depolarized`` does.
     """
     n, purity = _dim_and_purity(n, purity)
     eps = _epsilon(n, purity)
@@ -346,7 +363,7 @@ def _eta_antiderivative(m: int, x: float) -> float:
     # m-fold antiderivative of eta(x) = -x ln x: -x^(m+1)/(m+1)! (ln x - S_{m+1})
     if x <= 0.0:
         return 0.0
-    return -(x ** (m + 1)) / math.factorial(m + 1) * (math.log(x) - _harmonic_tail(m + 1))
+    return -(x ** (m + 1)) / math.factorial(m + 1) * (math.log(x) - _table(m + 1).tail)
 
 
 def min_power_haar_integral(n: int, epsilon: float) -> float:
@@ -356,7 +373,12 @@ def min_power_haar_integral(n: int, epsilon: float) -> float:
     t of a fixed pure state with a Haar state, using the exact iterated
     antiderivatives of eta composed with the affine map, and returns
     ln n - n * (that average).  Must coincide with
-    ``min_informational_power(n, purity_for_epsilon(n, eps))``.
+    ``min_informational_power(n, purity_for_epsilon(n, eps))``.  Its
+    measured domain: within 2e-9 relative of a 40-digit mpmath value
+    for n <= 8 at eps >= 0.05 and n <= 64 at eps >= 0.1.  Below, the sum
+    cancels (0.261 against 1.2e-12 at n = 4, eps = 2e-6); it raises
+    ``DimensionTooLargeError`` out of [0, ln n - harmonic_tail(n)] and
+    where the factorials overflow float64 (n >= 171).
     """
     n = _checks.integer(n, "dimension n", 2)
     # the affine map must be non-constant
@@ -378,4 +400,4 @@ def min_power_haar_integral(n: int, epsilon: float) -> float:
         integral *= math.factorial(n - 1)
     except OverflowError as exc:
         raise DimensionTooLargeError(f"n = {n} overflows float64") from exc
-    return math.log(n) - n * integral
+    return _in_range(math.log(n) - n * integral, n, "informational power", epsilon)

@@ -5,7 +5,9 @@ subentropy oracle integrates over the probability simplex with scipy
 quadrature, the rational-sum oracle evaluates the eigenvalue formula
 directly, the divided-difference oracle runs the confluent Newton table
 of x^n ln x in mpmath with exact derivatives at repeated nodes and enough
-digits to absorb the smallest gap, the derivative-form subentropy of a depolarized pure state
+digits to absorb the smallest gap (the depolarized subentropy and the
+lower curve ln n - (H_n - 1) - Q at 40 digits are read from it), the
+derivative-form subentropy of a depolarized pure state
 differentiates the divided-difference identity term by term,
 accessible information for qubits is maximized on a dense
 great-circle grid of projective measurements, and the constrained-entropy
@@ -113,6 +115,22 @@ def subentropy_divided_difference(values) -> float:
                 gap = z[i + j] - z[i]
                 col[i] = (col[i + 1] - col[i]) / gap if gap else taylor(z[i], j)
         return float(-col[0])
+
+
+@functools.lru_cache(maxsize=None)
+def depolarized_subentropy_oracle(n: int, epsilon: float) -> float:
+    """Subentropy of (eps + a, a, ..., a), a = (1 - eps)/n, by
+    ``subentropy_divided_difference``."""
+    a = (1.0 - epsilon) / n
+    return subentropy_divided_difference([epsilon + a] + [a] * (n - 1))
+
+
+def min_power_oracle(n: int, epsilon: float) -> float:
+    """The lower curve ln n - (H_n - 1) - Q of the depolarized pure state,
+    subtracted at 40 digits."""
+    with mpmath.workdps(40):
+        top = mpmath.log(n) - mpmath.fsum(mpmath.mpf(1) / j for j in range(2, n + 1))
+        return float(top - mpmath.mpf(depolarized_subentropy_oracle(n, epsilon)))
 
 
 def _joint_information(p: np.ndarray) -> float:

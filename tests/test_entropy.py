@@ -380,7 +380,7 @@ class TestHarmonicTable:
         assert _binomial_terms(7) is _binomial_terms(7)
 
     def test_record_holds_the_table_as_python_floats(self):
-        # C(n, k) from the exact recurrence equals math.comb rounded once
+        # C(n, k) is math.comb rounded once
         for n in range(1, 201):
             record = _table(n)
             harm = _fresh_harmonic(n)
@@ -389,12 +389,11 @@ class TestHarmonicTable:
             assert _binomial_terms(n) == tuple(
                 (k, float(math.comb(n, k)), float(harm[k] - 1.0)) for k in range(2, n + 1)
             )
-        # past the float range the terms stop before the first C(n, k) that
-        # does not convert to a float
-        last_k, last_comb, _ = _binomial_terms(1100)[-1]
-        assert last_comb == float(math.comb(1100, last_k))
-        with pytest.raises(OverflowError):
-            float(math.comb(1100, last_k + 1))
+        # the depolarized kernel reads them at n <= 8 only, where every
+        # C(n, k) is a small exact float and no term is cut
+        for n in range(2, 9):
+            assert [t[0] for t in _binomial_terms(n)] == list(range(2, n + 1))
+        assert [t[1] for t in _binomial_terms(8)] == [28.0, 56.0, 70.0, 56.0, 28.0, 8.0, 1.0]
 
     def test_harmonic_tail_reads_the_table(self):
         # the tail is the table entry H_k - 1; summed from 1 instead of 1/2,

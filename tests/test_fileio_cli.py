@@ -403,7 +403,7 @@ class TestCurveCommand:
         m, alpha, a, b = tradeoff._two_level_params(n, p)
         assert epsilon_for_purity(n, p) == eps
         lower = min_informational_power(n, p)
-        assert lower.value == tradeoff._min_power(n, eps, tradeoff._harmonic_tail(n))
+        assert lower.value == tradeoff._min_power(n, eps)
         assert lower.params == {"epsilon": eps, "a": (1.0 - eps) / n, "b": eps + (1.0 - eps) / n}
         upper = max_accessible_information(n, p)
         assert upper.value == tradeoff._max_access(n, m, a, b)

@@ -55,7 +55,7 @@ from infopurity.cli import curve_csv_text, main
 from infopurity.fileio import decode_ensemble, decode_povm, save_ensemble
 from infopurity.tradeoff import depolarized_haar_ensemble
 
-from _oracles import subentropy_divided_difference
+from _oracles import depolarized_subentropy_oracle, min_power_oracle
 
 PACKAGE = Path(infopurity.__file__).parent
 HALF = np.eye(2) / 2
@@ -94,38 +94,13 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: elementary_symmetric2(["a"]), ValidationError),
         (lambda: Ensemble([1.0]), ValidationError),
         (lambda: Povm(5), ValidationError),
-        # float64 overflow in the closed forms
+        # above the lower curve's n = 1024, and where the chain overflows
         (lambda: min_informational_power(1100, 0.5), DimensionTooLargeError),
         (lambda: min_power_haar_integral(200, 0.5), DimensionTooLargeError),
-        # (b - a)^(k-1) underflows to zero in the binomial sum
-        (lambda: subentropy_depolarized(400, 0.01), DimensionTooLargeError),
-        (
-            lambda: min_informational_power(400, purity_for_epsilon(400, 0.01)),
-            DimensionTooLargeError,
-        ),
-        (
-            lambda: max_subentropy_at_purity(400, purity_for_epsilon(400, 0.01)),
-            DimensionTooLargeError,
-        ),
-        # cancellation leaves [0, ln n - (H_n - 1)] without overflowing
-        (lambda: subentropy_depolarized(20, 0.01), DimensionTooLargeError),
-        (
-            lambda: min_informational_power(20, purity_for_epsilon(20, 0.01)),
-            DimensionTooLargeError,
-        ),
-        (
-            lambda: max_subentropy_at_purity(20, purity_for_epsilon(20, 0.01)),
-            DimensionTooLargeError,
-        ),
-        (lambda: subentropy_depolarized(24, 0.01), DimensionTooLargeError),
-        (
-            lambda: min_informational_power(24, purity_for_epsilon(24, 0.01)),
-            DimensionTooLargeError,
-        ),
-        (
-            lambda: max_subentropy_at_purity(24, purity_for_epsilon(24, 0.01)),
-            DimensionTooLargeError,
-        ),
+        # the antiderivative chain cancels out of [0, ln n - (H_n - 1)]
+        (lambda: min_power_haar_integral(8, 1e-4), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(6, 1e-4), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(3, 2e-6), DimensionTooLargeError),
         (lambda: curve_csv_text(2, -1), ValidationError),
         (lambda: curve_csv_text(2, 1), ValidationError),
         (lambda: curve_csv_text(2, 2.5), ValidationError),
@@ -142,11 +117,8 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "purity-float-dim", "purity-dim-1", "purity-nan-eps", "purity-str-eps",
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",
         "min-power-binomial-overflow", "haar-integral-overflow",
-        "subentropy-binomial-underflow", "min-power-binomial-underflow",
-        "subentropy-max-binomial-underflow",
-        "subentropy-out-of-range-n20", "min-power-out-of-range-n20",
-        "subentropy-max-out-of-range-n20", "subentropy-out-of-range-n24",
-        "min-power-out-of-range-n24", "subentropy-max-out-of-range-n24",
+        "haar-integral-out-of-range-n8", "haar-integral-out-of-range-n6",
+        "haar-integral-out-of-range-n3",
         "csv-negative-points", "csv-one-point", "csv-float-points", "csv-dim-1",
         "csv-bool-dim",
     ],
@@ -165,17 +137,6 @@ def test_non_finite_depolarized_subentropy_raises(monkeypatch):
             subentropy_depolarized(3, 0.01)
 
 
-def _depolarized_oracle(n, epsilon):
-    a = (1.0 - epsilon) / n
-    return subentropy_divided_difference([epsilon + a] + [a] * (n - 1))
-
-
-def _min_power_oracle(n, epsilon):
-    with mpmath.workdps(40):
-        top = mpmath.log(n) - mpmath.fsum(mpmath.mpf(1) / j for j in range(2, n + 1))
-        return float(top - mpmath.mpf(_depolarized_oracle(n, epsilon)))
-
-
 # points where the depolarized power series overflowed: the quadrature
 # returns the value, at tolerances set by 1e-15 on Q and the cancellation
 # in ln n - S_n - Q
@@ -184,13 +145,13 @@ def _min_power_oracle(n, epsilon):
     [
         (
             lambda: min_informational_power(200, purity_for_epsilon(200, 1e-4)).value,
-            lambda: _min_power_oracle(200, epsilon_for_purity(200, purity_for_epsilon(200, 1e-4))),
+            lambda: min_power_oracle(200, epsilon_for_purity(200, purity_for_epsilon(200, 1e-4))),
             1e-14,
         ),
-        (lambda: subentropy_depolarized(200, 1e-4), lambda: _depolarized_oracle(200, 1e-4), 1e-15),
+        (lambda: subentropy_depolarized(200, 1e-4), lambda: depolarized_subentropy_oracle(200, 1e-4), 1e-15),
         (
             lambda: max_subentropy_at_purity(200, purity_for_epsilon(200, 1e-4)).value,
-            lambda: _depolarized_oracle(
+            lambda: depolarized_subentropy_oracle(
                 200, epsilon_for_purity(200, purity_for_epsilon(200, 1e-4))
             ),
             1e-15,
@@ -203,13 +164,50 @@ def test_small_epsilon_at_large_n_matches_oracle(call, oracle, tol):
     assert abs(call() - oracle()) <= tol
 
 
+def _eps_round_trip(n, epsilon):
+    # the eps the purity-parametrized forms evaluate at
+    return epsilon_for_purity(n, purity_for_epsilon(n, epsilon))
+
+
+# the forms at eps = 0.01, where the binomial sum raised: at n = 400 its
+# (b - a)^(k-1) underflowed to zero, at n = 20 and 24 it cancelled out of
+# the range of Q.  The integral returns the value
+ABOVE_SWITCH = {
+    "subentropy": (
+        lambda n: subentropy_depolarized(n, 0.01),
+        lambda n: depolarized_subentropy_oracle(n, 0.01),
+        1e-15,
+    ),
+    "min-power": (
+        lambda n: min_informational_power(n, purity_for_epsilon(n, 0.01)).value,
+        lambda n: min_power_oracle(n, _eps_round_trip(n, 0.01)),
+        1e-14,
+    ),
+    "subentropy-max": (
+        lambda n: max_subentropy_at_purity(n, purity_for_epsilon(n, 0.01)).value,
+        lambda n: depolarized_subentropy_oracle(n, _eps_round_trip(n, 0.01)),
+        1e-15,
+    ),
+}
+ABOVE_SWITCH_ROWS = [(form, n) for n in (20, 24, 400) for form in ABOVE_SWITCH]
+
+
+@pytest.mark.parametrize(
+    "form, n", ABOVE_SWITCH_ROWS, ids=[f"{form}-n{n}" for form, n in ABOVE_SWITCH_ROWS]
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_n_above_the_switch_matches_oracle(form, n):
+    call, oracle, tol = ABOVE_SWITCH[form]
+    assert abs(call(n) - oracle(n)) <= tol
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_curve_csv_at_n400_matches_oracle():
     # the rows print six decimals
     rows = [r.split(",") for r in curve_csv_text(400, 3).splitlines()[1:]]
     for row, p in zip(rows, np.linspace(1.0 / 400, 1.0, 3).tolist()):
         eps = epsilon_for_purity(400, p)
-        assert abs(float(row[3]) - _min_power_oracle(400, eps)) <= 5.000001e-7
+        assert abs(float(row[3]) - min_power_oracle(400, eps)) <= 5.000001e-7
 
 
 def _renyi_reference(lam, alpha):

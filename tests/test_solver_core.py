@@ -100,7 +100,9 @@ def _write_mode(call: ast.Call) -> bool:
 def test_shared_rules_have_one_home():
     # the log floor and the harmonic sums live in entropy.py (other modules
     # read H_k through the cached entropy._table record), file writes in
-    # fileio.py, and the package reads no environment variable
+    # fileio.py, the curve kernels behind tradeoff's public names (cli.py
+    # imports no private tradeoff name), and the package reads no
+    # environment variable
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -122,4 +124,11 @@ def test_shared_rules_have_one_home():
                     found.append(f"{where} {name} call")
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 found.append(f"{where} environment read")
+            if (
+                isinstance(node, ast.ImportFrom)
+                and path.name == "cli.py"
+                and node.module == "tradeoff"
+                and any(alias.name.startswith("_") for alias in node.names)
+            ):
+                found.append(f"{where} private tradeoff import")
     assert found == []
