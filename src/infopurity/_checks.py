@@ -22,6 +22,8 @@ SEED_MAX = 2**64 - 1
 FLOAT_MAX = float(np.finfo(float).max)
 
 _REALS = (int, float, np.integer, np.floating)
+# the probability rule's roundoff allowance below zero
+_FLOOR = -1e-12
 
 
 def integer(value, name: str, lo: int, hi=math.inf, error=ValidationError) -> int:
@@ -65,13 +67,18 @@ def items(values, name: str, error=ValidationError, pairs: bool = False) -> list
     return out
 
 
+def _asarray(values, name: str, error, dtype) -> np.ndarray:
+    # values as an array of dtype; a value numpy cannot convert raises error
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} entries are not numbers: {exc}") from exc
+
+
 def array(values, name: str, error=ValidationError, ndim: int | None = 1, dtype=float):
     """``values`` as a non-empty finite array of ``ndim`` dimensions
     (flattened when ``ndim`` is None); raises ``error`` otherwise."""
-    try:
-        v = np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{name} entries are not numbers: {exc}") from exc
+    v = _asarray(values, name, error, dtype)
     if ndim is None:
         v = v.reshape(-1)
     elif v.ndim != ndim:
@@ -83,19 +90,44 @@ def array(values, name: str, error=ValidationError, ndim: int | None = 1, dtype=
     return v
 
 
+def _probability_rule(low, total, name: str, error, floor: float) -> None:
+    # the one home of the probability rule: no entry below floor and a sum
+    # within 1e-10 of 1
+    if low < floor:
+        raise error(f"{name} has entry {low:.3e} < {floor:g}")
+    if abs(total - 1.0) > 1e-10:
+        raise error(f"{name} sums to {total!r}, not 1 within 1e-10")
+
+
 def probabilities(
-    values, name: str, error=ValidationError, floor: float = -1e-12, ndim: int | None = 1
+    values, name: str, error=ValidationError, floor: float = _FLOOR, ndim: int | None = 1
 ) -> np.ndarray:
     """``values`` checked as a probability array and floored at zero.
 
     Raises ``error`` unless ``values`` passes ``array``, has no entry
-    below ``floor`` (roundoff allowance) and sums to 1 within 1e-10.
+    below ``floor`` (roundoff allowance, -1e-12 by default) and sums to 1
+    within 1e-10.
     """
     v = array(values, name, error, ndim)
-    low = v.min()
-    if low < floor:
-        raise error(f"{name} has entry {low:.3e} < {floor:g}")
-    total = v.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise error(f"{name} sums to {total!r}, not 1 within 1e-10")
+    _probability_rule(v.min(), v.sum(), name, error, floor)
     return np.maximum(v, 0.0)
+
+
+def probability_list(values, name: str, error=ValidationError) -> list[float]:
+    """``values`` flattened to a list of Python floats, checked by the
+    rule of ``probabilities(values, name, error, ndim=None)`` but not
+    floored at zero.
+
+    The checks run on the list.  Its sum is Python's ``sum``, which can
+    differ from numpy's pairwise sum in the last bits, so the decision
+    differs from that of ``probabilities`` only for sums within a few ulps
+    of 1 +- 1e-10.
+    """
+    v = _asarray(values, name, error, float).ravel().tolist()
+    if not v:
+        raise error(f"{name} is empty")
+    total = sum(v)
+    if not math.isfinite(total):  # a nan or infinite entry, or a sum past the floats
+        raise error(f"{name} has a non-finite entry or sum")
+    _probability_rule(min(v), total, name, error, _FLOOR)
+    return v

@@ -209,9 +209,16 @@ def subentropy(spectrum) -> float:
     exact divided difference it is within 5e-16 on equispaced, clustered,
     Dirichlet, zero-containing and near-pure spectra up to n = 64, and
     within 5e-15 on the mixed spectrum up to n = 1024.  Neither input
-    order nor form (list, ndarray, ``Spectrum``) changes a bit.
+    order nor form (list, ndarray, ``Spectrum``) changes a bit.  Raises
+    ``NotNormalizedError`` for an input that is not a probability vector
+    and ``DimensionTooLargeError`` if the value leaves
+    [0, ln n - harmonic_tail(n)] by more than 1e-12.
     """
-    return _subentropy(_spectrum_values(spectrum).tolist())
+    if isinstance(spectrum, Spectrum):
+        values = _spectrum_values(spectrum).tolist()
+    else:
+        values = _checks.probability_list(spectrum, "spectrum", NotNormalizedError)
+    return _in_range(_subentropy(values), len(values), "subentropy")
 
 
 # the binomial sum runs up to the largest n of the CLI and of every workload;
@@ -262,12 +269,14 @@ def _subentropy_depolarized(n: int, epsilon: float) -> float:
     return _in_range(q, n, "subentropy", epsilon)
 
 
-def _in_range(value: float, n: int, what: str, epsilon: float) -> float:
-    # the lower curve's range guard: Q and ln n - S_n - Q both lie in
-    # [0, ln n - S_n]; nan or a miss above 1e-12 raises, roundoff below 0 is 0
+def _in_range(value: float, n: int, what: str, epsilon: float | None = None) -> float:
+    # the range guard of subentropy and the lower curve: Q and ln n - S_n - Q
+    # both lie in [0, ln n - S_n]; nan or a miss above 1e-12 raises, roundoff
+    # below 0 is 0
     q_max = _table(n).q_max
     if not -1e-12 <= value <= q_max + 1e-12:
+        at = "" if epsilon is None else f" at eps = {epsilon!r}"
         raise DimensionTooLargeError(
-            f"n = {n} gives {what} {value!r} outside [0, {q_max!r}] at eps = {epsilon!r}"
+            f"n = {n} gives {what} {value!r} outside [0, {q_max!r}]{at}"
         )
     return value if value >= 0.0 else 0.0

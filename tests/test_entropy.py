@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from infopurity import (
     AlphaOutOfRangeError,
     DensityOperator,
+    DimensionTooLargeError,
     EpsilonOutOfRangeError,
     NotNormalizedError,
     Spectrum,
@@ -23,7 +24,8 @@ from infopurity import (
     subentropy_depolarized,
     von_neumann_entropy,
 )
-from infopurity.entropy import _binomial_terms, _power_table, _powers, _table
+from infopurity import _checks, entropy
+from infopurity.entropy import _binomial_terms, _power_table, _powers, _subentropy, _table
 from infopurity.tradeoff import harmonic_tail
 from infopurity.operators import depolarize, purity
 
@@ -741,3 +743,132 @@ class TestInputForms:
             got = [subentropy(v) for v in forms]
             assert all(type(q) is float for q in got)
             assert len({q.hex() for q in got}) == 1
+
+
+def _checked_reference(x):
+    # the array rule and the kernel on the floored values it returns, or
+    # None where the rule raises
+    try:
+        v = _checks.probabilities(x, "spectrum", NotNormalizedError, ndim=None)
+    except NotNormalizedError:
+        return None
+    return _subentropy(v.tolist())
+
+
+def _near_sum_bound(x):
+    # a sum within a few ulps of 1 +- 1e-10, where numpy's pairwise sum and
+    # Python's sum may round to opposite sides of the bound
+    try:
+        v = np.asarray(x, dtype=float).reshape(-1)
+        return abs(abs(math.fsum(v) - 1.0) - 1e-10) < 1e-14
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _assert_checked_like_arrays(x):
+    want = _checked_reference(x)
+    if want is None:
+        with pytest.raises(NotNormalizedError):
+            subentropy(x)
+    else:
+        assert subentropy(x).hex() == want.hex()
+
+
+@st.composite
+def _spectrum_inputs(draw):
+    """Spectra near the probability rule's edges, in every input form."""
+    n = draw(st.integers(0, 12))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    values = [w / total for w in weights] if total > 0.0 else weights
+    # sums off by about 1e-10 on either side of the bound
+    scale = draw(st.sampled_from([0.0, 0.5e-10, 0.9e-10, 1.1e-10, 2e-10, 1e-9, 0.1]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    values = [v * (1.0 + sign * scale) for v in values]
+    if values and draw(st.booleans()):
+        k = draw(st.integers(0, len(values) - 1))
+        values[k] = draw(
+            st.sampled_from(
+                [-0.5e-12, -0.999e-12, -1.001e-12, -2e-12, -0.1, math.nan, math.inf, -math.inf, 0.0, -0.0]
+            )
+        )
+    form = draw(st.sampled_from(["list", "array", "2d", "column", "strings", "ints"]))
+    if form == "array":
+        return np.array(values)
+    if form == "2d":
+        return np.array(values).reshape(2 if len(values) % 2 == 0 else 1, -1)
+    if form == "column":
+        return [[v] for v in values]
+    if form == "strings":
+        return [repr(v) for v in values]
+    if form == "ints":
+        return [round(v) for v in values if math.isfinite(v)]
+    return values
+
+
+class TestSubentropyCheck:
+    """``subentropy`` checks a list or an array on the Python list it builds;
+    it raises exactly where the array rule of ``_checks.probabilities``
+    does and otherwise returns the kernel's bits on the floored values."""
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(_spectrum_inputs())
+    def test_decides_like_the_array_rule(self, x):
+        if not _near_sum_bound(x):
+            _assert_checked_like_arrays(x)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=4),
+            max_leaves=10,
+        )
+    )
+    def test_fuzz_decides_like_the_array_rule(self, x):
+        if not _near_sum_bound(x):
+            _assert_checked_like_arrays(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [],
+            np.zeros((0, 3)),
+            "abc",
+            ["a", "b"],
+            [0.5, [0.5]],
+            {"a": 1.0},
+            [0.5, math.nan, 0.5],
+            np.array([1.0, math.inf]),
+            [1.0 + 1.1e-10],
+            [1.0 - 1.1e-10],
+            [1.0 + 2e-12, -2e-12],
+            np.array([[0.5, 0.25], [0.25, 0.0]]),
+            [True],
+            ["0.25", "0.75"],
+            [1e308, 1e308],
+        ],
+        ids=[
+            "empty", "empty-2d", "string", "strings", "ragged", "dict", "nan", "inf",
+            "sum-above", "sum-below", "below-floor", "2d", "bool", "numeric-strings",
+            "sum-overflow",
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_edge_inputs(self, x):
+        _assert_checked_like_arrays(x)
+
+    @pytest.mark.parametrize("miss", [-2e-12, math.nan, 2e-12])
+    def test_range_guard_raises(self, monkeypatch, miss):
+        n = 5
+        value = miss if miss <= 0.0 else _table(n).q_max + miss
+        monkeypatch.setattr(entropy, "_subentropy", lambda values: value)
+        with pytest.raises(DimensionTooLargeError):
+            subentropy(np.full(n, 1.0 / n))
+
+    @pytest.mark.parametrize("miss", [-0.5e-12, 0.5e-12])
+    def test_range_guard_passes_roundoff(self, monkeypatch, miss):
+        n = 5
+        value = miss if miss < 0.0 else _table(n).q_max + miss
+        monkeypatch.setattr(entropy, "_subentropy", lambda values: value)
+        assert subentropy(np.full(n, 1.0 / n)) == max(value, 0.0)

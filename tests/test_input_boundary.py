@@ -101,6 +101,14 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: min_power_haar_integral(8, 1e-4), DimensionTooLargeError),
         (lambda: min_power_haar_integral(6, 1e-4), DimensionTooLargeError),
         (lambda: min_power_haar_integral(3, 2e-6), DimensionTooLargeError),
+        # below the chain's measured domain, where its sum cancels, and above n = 64
+        (lambda: min_power_haar_integral(5, 1e-3), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(4, 1e-4), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(2, 0.0499), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(8, 0.0499), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(9, 0.0999), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(64, 0.0999), DimensionTooLargeError),
+        (lambda: min_power_haar_integral(65, 0.5), DimensionTooLargeError),
         (lambda: curve_csv_text(2, -1), ValidationError),
         (lambda: curve_csv_text(2, 1), ValidationError),
         (lambda: curve_csv_text(2, 2.5), ValidationError),
@@ -118,7 +126,10 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",
         "min-power-binomial-overflow", "haar-integral-overflow",
         "haar-integral-out-of-range-n8", "haar-integral-out-of-range-n6",
-        "haar-integral-out-of-range-n3",
+        "haar-integral-out-of-range-n3", "haar-integral-cancels-n5",
+        "haar-integral-cancels-n4", "haar-integral-below-domain-n2",
+        "haar-integral-below-domain-n8", "haar-integral-below-domain-n9",
+        "haar-integral-below-domain-n64", "haar-integral-above-n64",
         "csv-negative-points", "csv-one-point", "csv-float-points", "csv-dim-1",
         "csv-bool-dim",
     ],

@@ -97,16 +97,69 @@ def _write_mode(call: ast.Call) -> bool:
     return isinstance(mode, ast.Constant) and any(c in str(mode.value) for c in "wax+")
 
 
+def _constant(node):
+    # the value of a literal, with its sign
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _probability_rule(node) -> str | None:
+    # a minimum compared with the -1e-12 floor, or abs(x - 1.0) compared
+    # with the 1e-10 sum tolerance
+    if not isinstance(node, ast.Compare):
+        return None
+    sides = [node.left, *node.comparators]
+    consts = {_constant(side) for side in sides}
+    if -1e-12 in consts and any(_called(side, "min") for side in sides):
+        return "probability floor"
+    distance_from_one = any(
+        _called(side, "abs")
+        and isinstance(side.args[0], ast.BinOp)
+        and isinstance(side.args[0].op, ast.Sub)
+        and 1.0 in (_constant(side.args[0].left), _constant(side.args[0].right))
+        for side in sides
+    )
+    if 1e-10 in consts and distance_from_one:
+        return "probability sum tolerance"
+    return None
+
+
+def _per_row_sum(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "sum"
+        and any(
+            kw.arg == "axis" and isinstance(kw.value, ast.Constant) and kw.value.value == 1
+            for kw in node.keywords
+        )
+    )
+
+
 def test_shared_rules_have_one_home():
     # the log floor and the harmonic sums live in entropy.py (other modules
     # read H_k through the cached entropy._table record), file writes in
-    # fileio.py, the curve kernels behind tradeoff's public names (cli.py
-    # imports no private tradeoff name), and the package reads no
-    # environment variable
+    # fileio.py, the probability rule in _checks.py, the curve kernels
+    # behind tradeoff's public names (cli.py imports no private tradeoff
+    # name), montecarlo.py adds the columns of a row instead of numpy's
+    # per-row sum(axis=1), and the package reads no environment variable
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            rule = _probability_rule(node)
+            if rule and path.name != "_checks.py":
+                found.append(f"{where} {rule}")
+            if _per_row_sum(node) and path.name == "montecarlo.py":
+                found.append(f"{where} sum(axis=1)")
             if isinstance(node, ast.Constant) and node.value == 1e-300:
                 if path.name != "entropy.py":
                     found.append(f"{where} log floor")

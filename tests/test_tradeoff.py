@@ -23,7 +23,7 @@ from infopurity import (
     subentropy,
 )
 
-from _oracles import renyi_extrema_grid_3, sample_fixed_purity_spectra
+from _oracles import min_power_oracle, renyi_extrema_grid_3, sample_fixed_purity_spectra
 
 # frozen reference values, cross-derived below from independent routes
 T1_2_075 = 0.0882642699303731  # antiderivative route at eps = sqrt(0.5)
@@ -251,6 +251,17 @@ class TestHaarIntegralRoute:
     def test_epsilon_guard(self):
         with pytest.raises(EpsilonOutOfRangeError):
             min_power_haar_integral(3, 1e-7)
+
+    # at and just above the domain's cuts eps = 0.05 (n <= 8) and eps = 0.1
+    # (n <= 64); the rows just below raise (tests/test_input_boundary.py)
+    @pytest.mark.parametrize(
+        "n, eps",
+        [(2, 0.05), (2, 0.0501), (8, 0.05), (8, 0.0501), (9, 0.1), (9, 0.1001),
+         (57, 0.1), (64, 0.1), (64, 0.1001), (64, 1.0)],
+    )
+    def test_matches_oracle_inside_the_domain(self, n, eps):
+        want = min_power_oracle(n, eps)
+        assert abs(min_power_haar_integral(n, eps) - want) <= 2.1e-9 * want
 
 
 class TestEpsilonPurityMaps:
