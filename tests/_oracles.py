@@ -20,9 +20,13 @@ before their restarts went into lock-step; the lock-step loop must take
 the same trials row by row.  The einsum kernels and the Newton step are
 the power optimizer's earlier channel, gradient and KKT solve: the matmul
 kernels must agree with them to roundoff, the Newton step bit for bit.
-The Haar overlap shard is the Monte Carlo's earlier kernel, which built
-every state vector and read the squared modulus of its first entry; the
-radius-only shard must agree with it to roundoff.
+The Monte Carlo has two references.  The uniform oracle redraws each
+shard's uniforms from a fresh Philox stream and maps them by the Beta(1,
+n - 1) inverse CDF written as a power, 1 - (1 - u)^(1/(n-1)); the
+estimator must agree with it to roundoff.  The state oracle is the
+Monte Carlo's earliest kernel, which built every state vector and read
+the squared modulus of its first entry; the estimator draws other
+uniforms, so it must agree with it statistically.
 """
 
 from __future__ import annotations
@@ -386,6 +390,20 @@ def newton_step_reference(prior, d, channel, best):
     return full
 
 
+def _shard_counts(samples: int) -> list[int]:
+    counts = [SHARD_SIZE] * (samples // SHARD_SIZE)
+    if samples % SHARD_SIZE:
+        counts.append(samples % SHARD_SIZE)
+    return counts
+
+
+def _min_power_summary(n: int, epsilon: float, t: np.ndarray):
+    """(mean, std error) of ln n - n * eta(eps t + (1 - eps)/n), in one pass."""
+    x = epsilon * t + (1.0 - epsilon) / n
+    vals = np.where(x > 0.0, -x * np.log(np.maximum(x, 1e-300)), 0.0)
+    return math.log(n) - n * vals.mean(), n * math.sqrt(vals.var(ddof=1) / len(t))
+
+
 def haar_overlaps_from_states(n: int, seed: int, stream: int, count: int) -> np.ndarray:
     """|<e1|phi>|^2 of ``count`` Haar states read off the full state vectors."""
     return np.abs(HaarSampler(n, seed, stream).states(count)[:, 0]) ** 2
@@ -394,12 +412,24 @@ def haar_overlaps_from_states(n: int, seed: int, stream: int, count: int) -> np.
 def mc_min_power_from_states(n: int, epsilon: float, samples: int, seed: int, stream: int):
     """(mean, std error) of the minimum-power Monte Carlo with every shard
     building its state vectors, reduced in one pass over all samples."""
-    counts = [SHARD_SIZE] * (samples // SHARD_SIZE)
-    if samples % SHARD_SIZE:
-        counts.append(samples % SHARD_SIZE)
     t = np.concatenate(
-        [haar_overlaps_from_states(n, seed, stream + i, c) for i, c in enumerate(counts)]
+        [
+            haar_overlaps_from_states(n, seed, stream + i, c)
+            for i, c in enumerate(_shard_counts(samples))
+        ]
     )
-    x = epsilon * t + (1.0 - epsilon) / n
-    vals = np.where(x > 0.0, -x * np.log(np.maximum(x, 1e-300)), 0.0)
-    return math.log(n) - n * vals.mean(), n * math.sqrt(vals.var(ddof=1) / samples)
+    return _min_power_summary(n, epsilon, t)
+
+
+def mc_min_power_from_uniforms(n: int, epsilon: float, samples: int, seed: int, stream: int):
+    """(mean, std error) of the minimum-power Monte Carlo with shard i
+    drawing its overlaps from a fresh Philox stream keyed by
+    (seed, stream + i), reduced in one pass over all samples."""
+    t = np.concatenate(
+        [
+            1 - (1 - np.random.Generator(np.random.Philox(key=[seed, stream + i])).random(c))
+            ** (1 / (n - 1))
+            for i, c in enumerate(_shard_counts(samples))
+        ]
+    )
+    return _min_power_summary(n, epsilon, t)

@@ -133,24 +133,12 @@ def _probability_rule(node) -> str | None:
     return None
 
 
-def _per_row_sum(node) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) == "sum"
-        and any(
-            kw.arg == "axis" and isinstance(kw.value, ast.Constant) and kw.value.value == 1
-            for kw in node.keywords
-        )
-    )
-
-
 def test_shared_rules_have_one_home():
     # the log floor and the harmonic sums live in entropy.py (other modules
     # read H_k through the cached entropy._table record), file writes in
     # fileio.py, the probability rule in _checks.py, the curve kernels
     # behind tradeoff's public names (cli.py imports no private tradeoff
-    # name), montecarlo.py adds the columns of a row instead of numpy's
-    # per-row sum(axis=1), and the package reads no environment variable
+    # name), and the package reads no environment variable
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -158,8 +146,6 @@ def test_shared_rules_have_one_home():
             rule = _probability_rule(node)
             if rule and path.name != "_checks.py":
                 found.append(f"{where} {rule}")
-            if _per_row_sum(node) and path.name == "montecarlo.py":
-                found.append(f"{where} sum(axis=1)")
             if isinstance(node, ast.Constant) and node.value == 1e-300:
                 if path.name != "entropy.py":
                     found.append(f"{where} log floor")
