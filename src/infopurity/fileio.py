@@ -15,8 +15,8 @@ import json
 import numpy as np
 
 from . import _checks
-from .errors import InfopurityError, ValidationError
-from .operators import DensityOperator, Ensemble, HermitianOperator, Povm
+from .errors import InfopurityError, NonHermitianError, ValidationError
+from .operators import DensityOperator, Ensemble, HermitianOperator, Povm, _hermitian_stack
 
 
 def _write(dim: int, key: str, matrices: np.ndarray, weights=None) -> str:
@@ -133,12 +133,38 @@ def decode_ensemble(text: str, subnormalized: bool = False) -> Ensemble:
     return Ensemble(_decode_list(data, "states", decode_state))
 
 
+def _matrix_stack(entries, dim: int) -> np.ndarray | None:
+    """The matrices of a non-empty list of well-formed entries as one
+    ``(K, dim, dim)`` complex array, converted at once; None for anything
+    that ``_decode_list`` or ``_decode_matrix`` would reject."""
+    try:
+        blocks = [(entry["matrix_re"], entry["matrix_im"]) for entry in entries]
+        parts = np.asarray(blocks, dtype=float)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return None
+    if parts.shape != (len(blocks), 2, dim, dim) or not np.isfinite(parts).all():
+        return None
+    # the conversion also accepts numeric strings and bools; JSON numbers
+    # decode as int or float only
+    types = {type(x) for block in blocks for part in block for row in part for x in row}
+    return parts[:, 0] + 1j * parts[:, 1] if types <= {int, float} else None
+
+
 def decode_povm(text: str) -> Povm:
     data = _parse_object(text)
     dim = _decode_dim(data)
-    return Povm(
-        _decode_list(data, "elements", lambda e: HermitianOperator(_decode_matrix(e, dim)))
-    )
+    stack = _matrix_stack(_require(data, "elements"), dim)
+    if stack is None:
+        # a malformed entry: decode one at a time, so the first bad entry
+        # raises its own error
+        return Povm(
+            _decode_list(data, "elements", lambda e: HermitianOperator(_decode_matrix(e, dim)))
+        )
+    try:
+        return Povm(stack)
+    except NonHermitianError:
+        _hermitian_stack(stack, "elements")  # the same error, naming the element
+        raise
 
 
 def _read_text(path) -> str:

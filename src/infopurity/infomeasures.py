@@ -6,13 +6,14 @@ each sweep moves the outcome vectors along the mutual-information
 gradient, restores completeness exactly by S^(-1/2) . S^(-1/2)
 symmetrization, and keeps the step only if the information increased
 (backtracking line search), so the best value is monotone.  The
-informational-power optimizer alternates a certified active-set Newton
-solve for the best prior of a candidate pure-state alphabet (the channel
-capacity of the fixed alphabet, within a proven gap) with per-state
-gradient ascent.  Neither certifies global optimality over POVMs or
-alphabets; restarts from independent Haar frames plus a deterministic
-spectral start make the known optima of the test families reliably
-reachable.
+informational-power optimizer moves a candidate pure-state alphabet by
+per-state gradient ascent at fixed prior; each move it keeps also takes
+one active-set Newton iteration of the best prior of the alphabet (its
+channel capacity).  That prior is solved to a proven gap at the start
+and at the end of each restart.  Neither optimizer certifies global
+optimality over POVMs or alphabets; restarts from independent Haar frames
+plus a deterministic spectral start make the known optima of the test
+families reliably reachable.
 
 Every optimizer runs all of its restarts in lock-step through one
 backtracking ascent over stacked arrays (restart = leading axis): each
@@ -69,7 +70,8 @@ from .tradeoff import depolarized_haar_ensemble
 MAX_OPT_DIM = 8
 # sweeps per restart before it is reported unconverged
 _MAX_SWEEPS = 300
-# Newton iterations per capacity-prior solve before it is reported uncertified
+# Newton iterations per capacity-prior solve before it is reported
+# uncertified; at zero, kept state moves take no prior iteration either
 _PRIOR_ITERS = 50
 _SYM_STARTS = 32
 # line-search step every restart starts from
@@ -130,17 +132,30 @@ class InfoResult:
     restarts: tuple = ()
 
 
+def _spectral_difference(ensemble: Ensemble, entropy) -> float:
+    # entropy(rho) - sum_x w_x entropy(sigma_x) over the cached spectra
+    value = entropy(ensemble.average.spectrum)
+    for w, state in ensemble.items:
+        if w > 0.0:
+            value -= w * entropy(state.spectrum)
+    return value
+
+
 def jrw_lower(ensemble: Ensemble) -> float:
     """Subentropy lower bound on the accessible information:
     Q(rho) - sum_x w_x Q(sigma_x), in nats.
 
     Clipped at zero; a warning is emitted if roundoff drives the raw
-    value below -1e-9.
+    value below -1e-9.  Raises ``DimensionTooLargeError`` if the raw value
+    exceeds ``holevo_upper``, which bounds every accessible information,
+    by more than 1e-9: the subentropies have then lost their accuracy.
     """
-    value = subentropy(ensemble.average.spectrum)
-    for w, state in ensemble.items:
-        if w > 0.0:
-            value -= w * subentropy(state.spectrum)
+    value = _spectral_difference(ensemble, subentropy)
+    holevo = holevo_upper(ensemble)
+    if value > holevo + 1e-9:
+        raise DimensionTooLargeError(
+            f"subentropy bound {value:.12g} exceeds the Holevo bound {holevo:.12g}"
+        )
     if value < -1e-9:
         warnings.warn(
             f"subentropy bound below zero by {value:.3e}; clipping",
@@ -154,11 +169,7 @@ def holevo_upper(ensemble: Ensemble) -> float:
 
     Attained exactly when the ensemble states pairwise commute.
     """
-    value = shannon_entropy(ensemble.average.spectrum.clipped())
-    for w, state in ensemble.items:
-        if w > 0.0:
-            value -= w * shannon_entropy(state.spectrum.clipped())
-    return max(value, 0.0)
+    return max(_spectral_difference(ensemble, lambda s: shannon_entropy(s.clipped())), 0.0)
 
 
 def _take(parts, rows):
@@ -389,29 +400,27 @@ def _newton_step(prior, d, channel, best):
     return full
 
 
-def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = None):
-    """Certified best prior of a fixed channel: active-set Newton ascent
-    of the mutual information I(p) on the simplex.
+def _prior_step(prior, value, d, channel, log_channel, target):
+    """One iteration of the capacity-prior ascent of I(p) on the simplex
+    from ``prior``, whose value is ``value`` and whose divergences
+    D(W_x || pW) are ``d``; ``log_channel`` is the floored log of
+    ``channel``.
 
-    ``channel[x, y]`` holds p(y|x).  Each iteration takes the Newton step
-    of ``_newton_step``, cut by a ratio test that zeroes the letter
-    blocking it and halved until the value rises (or, with the value flat
-    to 1e-15, the gap below shrinks); if no Newton step rises, it takes a
-    Frank-Wolfe step toward argmax_x D_x, which ascends while that gap is
-    positive.  Warm-start letters at or below
-    1e-12 start at exactly zero and re-enter through the free set.
-    Returns ``(prior, value, certified)``: certified when
-    max_x D(W_x || pW) - I(p), an upper bound on capacity - value, is
-    below max(tol, 1e-13); uncertified when neither step rises or after
-    ``_PRIOR_ITERS`` iterations.
+    It takes the Newton step of ``_newton_step``, cut by a ratio test that
+    zeroes the letter blocking it and halved until the value rises (or,
+    with the value flat to 1e-15, the gap max_x D_x - I(p) shrinks); if no
+    Newton step rises, it takes a Frank-Wolfe step toward argmax_x D_x,
+    which ascends while that gap is positive.  Returns the moved
+    ``(prior, value, d)``, or None when the gap is already below
+    ``target`` or neither step rises.
     """
-    x_count = channel.shape[0]
-    if warm is None:
-        prior = np.full(x_count, 1.0 / x_count)
-    else:
-        prior = np.where(warm > 1e-12, warm, 0.0)
-        prior = prior / prior.sum()
-    log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
+    # the per-letter bookkeeping runs on Python floats: at a few dozen
+    # letters numpy's per-call cost outweighs the arithmetic
+    dl = d.tolist()
+    best = dl.index(max(dl))
+    gap = dl[best] - value
+    if gap < target:
+        return None
 
     def rise(step, t, blocker=None):
         # halve t until prior + t * step raises the value, or shrinks the
@@ -432,39 +441,56 @@ def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = N
             t *= 0.5
         return None
 
+    moved = None
+    step = _newton_step(prior, d, channel, best)
+    if step is not None:
+        # ratio test: the first letter the step drives to zero, if before t = 1
+        ratios = [
+            (p / -s, x) for x, (p, s) in enumerate(zip(prior.tolist(), step.tolist())) if s < 0.0
+        ]
+        t, blocker = min(ratios, default=(1.0, None))
+        moved = rise(step, t, blocker) if t < 1.0 else rise(step, 1.0)
+    if moved is None:
+        toward = -prior
+        toward[best] += 1.0
+        moved = rise(toward, 1.0)
+    return moved
+
+
+def _capacity_prior(channel: np.ndarray, tol: float, warm: np.ndarray | None = None):
+    """Certified best prior of a fixed channel: ``_prior_step`` repeated
+    from the uniform prior or from ``warm``.
+
+    ``channel[x, y]`` holds p(y|x).  Warm-start letters at or below 1e-12
+    start at exactly zero and re-enter through the free set.  Returns
+    ``(prior, value, certified)``: certified when max_x D(W_x || pW) - I(p),
+    an upper bound on capacity - value, is below max(tol, 1e-13);
+    uncertified when neither step rises or after ``_PRIOR_ITERS``
+    iterations.
+    """
+    x_count = channel.shape[0]
+    if warm is None:
+        prior = np.full(x_count, 1.0 / x_count)
+    else:
+        prior = np.where(warm > 1e-12, warm, 0.0)
+        prior = prior / prior.sum()
+    log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
     target = max(tol, 1e-13)
     d, _ = _row_divergences(prior, channel, log_channel)
     value = float(prior @ d)
     for _ in range(_PRIOR_ITERS):
-        best = int(np.argmax(d))
-        gap = d[best] - value
-        if gap < target:
-            break
-        moved = None
-        step = _newton_step(prior, d, channel, best)
-        if step is not None:
-            down = np.flatnonzero(step < 0.0)
-            ratios = prior[down] / -step[down]
-            if ratios.size and ratios.min() < 1.0:
-                k = int(np.argmin(ratios))
-                moved = rise(step, float(ratios[k]), down[k])
-            else:
-                moved = rise(step, 1.0)
-        if moved is None:
-            toward = -prior
-            toward[best] += 1.0
-            moved = rise(toward, 1.0)
+        moved = _prior_step(prior, value, d, channel, log_channel, target)
         if moved is None:
             break
         prior, value, d = moved
     return prior, value, bool(d.max() - value < target)
 
 
-def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray):
-    # per row of a (R, K) prior stack and a (R, K, Y) channel stack, with
-    # the log-ratios that its divergences sum
-    d, logs = _row_divergences(prior, channel, np.log(np.maximum(channel, _LOG_FLOOR)))
-    return (prior[:, None, :] @ d[:, :, None])[:, 0, 0], logs
+def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray, log_channel: np.ndarray):
+    # per row of a (R, K) prior stack and (R, K, Y) channel and log-channel
+    # stacks: the information, the divergences and the log-ratios they sum
+    d, logs = _row_divergences(prior, channel, log_channel)
+    return (prior[:, None, :] @ d[:, :, None])[:, 0, 0], d, logs
 
 
 def _power_channel(flat, states):
@@ -481,13 +507,21 @@ def _power_gradient(flat, logs, states):
 
 def _power_restart(povm_stack, states, tol):
     """Every restart in lock-step from an ``(R, K, n)`` stack of states:
-    alternate the certified capacity prior (one solve per row) with state
-    gradient ascent at fixed prior.  Returns ``_ascend``'s arrays with
-    state ``(states, prior, certified, channel)``, the channel built once
-    per trial for the next gradient; converged needs a certified prior."""
+    state gradient ascent at fixed prior, where each state move that
+    raises the information at fixed prior also advances the prior by one
+    ``_prior_step``.  The prior is certified by a full capacity solve
+    before the ascent and once more after it, so the values and the
+    converged flags (which need that certificate) are those of certified
+    priors.  Returns ``_ascend``'s arrays with state ``(states, prior)``."""
     flat = povm_stack.reshape(len(povm_stack), -1)
+    target = max(tol, 1e-13)
 
-    def priors(channel, rows, warm):
+    def channels(states):
+        # the channel of a state stack and its floored log
+        channel = _power_channel(flat, states)
+        return channel, np.log(np.maximum(channel, _LOG_FLOOR))
+
+    def certify(channel, rows, warm):
         # certified capacity prior of the listed rows; the others get -inf
         value, prior = np.full(len(channel), -np.inf), np.empty(channel.shape[:2])
         certified = np.zeros(len(channel), dtype=bool)
@@ -496,8 +530,8 @@ def _power_restart(povm_stack, states, tol):
         return value, prior, certified
 
     def direction(state):
-        states, prior, _, channel = state
-        fixed_value, logs = _fixed_prior_information(prior, channel)
+        states, prior, channel, log_channel = state
+        fixed_value, _, logs = _fixed_prior_information(prior, channel, log_channel)
         return _power_gradient(flat, logs, states), fixed_value
 
     def attempt(state, move, step):
@@ -506,18 +540,29 @@ def _power_restart(povm_stack, states, tol):
         trial = states + step[:, None, None] * moved
         norms = np.sqrt((np.abs(trial) ** 2).sum(axis=2, keepdims=True))
         trial = trial / np.maximum(norms, _LOG_FLOOR)
-        channel = _power_channel(flat, trial)
-        # re-optimize the prior only for state moves that pass at fixed prior
-        rows = np.flatnonzero(_fixed_prior_information(prior, channel)[0] > fixed_value)
-        value, prior, certified = priors(channel, rows, prior)
-        return value, (trial, prior, certified, channel)
+        channel, log_channel = channels(trial)
+        value, d, _ = _fixed_prior_information(prior, channel, log_channel)
+        passed = value > fixed_value
+        prior = prior.copy()
+        # each kept move takes one iteration of the capacity solve, none
+        # when the solve is capped at zero
+        for r in np.flatnonzero(passed) if _PRIOR_ITERS else ():
+            stepped = _prior_step(
+                prior[r], float(value[r]), d[r], channel[r], log_channel[r], target
+            )
+            if stepped is not None:
+                prior[r], value[r], _ = stepped
+        value[~passed] = -np.inf
+        return value, (trial, prior, channel, log_channel)
 
-    channel = _power_channel(flat, states)
-    value, prior, certified = priors(channel, range(len(states)), [None] * len(states))
+    channel, log_channel = channels(states)
+    value, prior, _ = certify(channel, range(len(states)), [None] * len(states))
     value, state, sweeps, converged, step = _ascend(
-        value, (states, prior, certified, channel), direction, attempt, tol
+        value, (states, prior, channel, log_channel), direction, attempt, tol
     )
-    return value, state, sweeps, converged & state[2], step
+    states, prior, channel, _ = state
+    value, prior, certified = certify(channel, np.flatnonzero(np.isfinite(value)), prior)
+    return value, (states, prior), sweeps, converged & certified, step
 
 
 def informational_power_opt(povm: Povm, cfg: OptimizerConfig = OptimizerConfig()) -> InfoResult:
@@ -525,12 +570,15 @@ def informational_power_opt(povm: Povm, cfg: OptimizerConfig = OptimizerConfig()
 
     Pure-state alphabets of n^2 candidates suffice; restart 0 seeds them
     with the leading eigenvectors of (a deterministic spread of) the POVM
-    elements, further restarts with Haar states.  For each alphabet the
-    prior is globally optimized by a certified Newton capacity solve, then
-    the states follow the information gradient; ``converged`` also
-    requires the final prior's capacity certificate.  All restarts run in
-    lock-step in the calling thread: the gradient steps are stacked, the
-    capacity solves run one restart at a time.
+    elements, further restarts with Haar states.  The states follow the
+    information gradient at fixed prior, and each state move that raises
+    the information also advances the prior by one active-set Newton
+    iteration toward the capacity of the alphabet.  The prior is solved to
+    its capacity certificate at the start and at the end of each restart,
+    so the values and the winning restart are those of certified priors,
+    and ``converged`` also requires that final certificate.  All restarts
+    run in lock-step in the calling thread: the gradient steps are
+    stacked, the prior iterations and solves run one restart at a time.
     """
     n = povm.dim
     _checks.integer(n, "dimension", 1, MAX_OPT_DIM, DimensionTooLargeError)
@@ -551,7 +599,7 @@ def informational_power_opt(povm: Povm, cfg: OptimizerConfig = OptimizerConfig()
         HaarSampler(n, cfg.seed, stream_id=1000 + r).states(k_cand)
         for r in range(1, cfg.restarts)
     ])
-    value, (states, prior, _, _), sweeps, converged, step = _power_restart(
+    value, (states, prior), sweeps, converged, step = _power_restart(
         stack, starts, cfg.tol
     )
     row, iterations, records = _best_restart("eigenvector", value, sweeps, converged, step)

@@ -13,6 +13,7 @@ from . import _checks
 from .errors import (
     DimensionMismatchError,
     EpsilonOutOfRangeError,
+    InfopurityError,
     NoConvergenceError,
     NonHermitianError,
     ValidationError,
@@ -55,6 +56,13 @@ class HermitianOperator:
                 f"max |M - M^dag| = {dev:.3e} exceeds tolerance {TOL_HERM:.1e}"
             )
         self.matrix: np.ndarray = _frozen((m + m.conj().T) / 2.0)
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray) -> HermitianOperator:
+        # wraps a read-only matrix that has passed the constructor's checks
+        op = cls.__new__(cls)
+        op.matrix = matrix
+        return op
 
     @property
     def dim(self) -> int:
@@ -213,23 +221,70 @@ class Ensemble:
         return f"Ensemble(dim={self.dim}, size={len(self.items)})"
 
 
+def _square_stack(elements) -> np.ndarray | None:
+    # equal-shape square matrices as one (K, n, n) complex array with
+    # K, n >= 1; None for anything else, which is checked one at a time
+    try:
+        stack = np.asarray(elements, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+    return stack if square and stack.size else None
+
+
+def _hermitian_stack(stack: np.ndarray, field: str | None = None) -> np.ndarray:
+    """The Hermitian parts of a ``(K, n, n)`` complex stack (K, n >= 1),
+    each matrix checked as ``HermitianOperator`` checks one, in one pass
+    over the stack; read-only.
+
+    The first element that fails is rebuilt alone, so it raises that
+    constructor's own error; with ``field`` the error becomes a
+    ``ValidationError`` naming the element as ``field[k]``.
+    """
+    flipped = stack.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite
+        dev = np.abs(stack - flipped).max(axis=(1, 2))
+    bad = ~np.isfinite(stack).all(axis=(1, 2)) | (dev > TOL_HERM)
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:
+            HermitianOperator(stack[k])
+        except InfopurityError as exc:
+            if field is None:
+                raise
+            raise ValidationError(str(exc), field=f"{field}[{k}]") from exc
+    return _frozen((stack + flipped) / 2.0)
+
+
 class Povm:
-    """Positive operators summing to the identity (within 1e-8 max-abs)."""
+    """Positive operators summing to the identity (within 1e-8 max-abs).
+
+    An ``(Y, n, n)`` array or a list of equal-shape square matrices is
+    checked and symmetrized as one stack; ``HermitianOperator`` elements
+    are taken as they are.
+    """
 
     __slots__ = ("dim", "elements", "_stack")
 
     def __init__(self, elements):
-        ops = [
-            e if isinstance(e, HermitianOperator) else HermitianOperator(e)
-            for e in _checks.items(elements, "elements")
-        ]
-        if not ops:
-            raise ValidationError("POVM needs at least one element")
-        dims = {e.dim for e in ops}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed dimensions {sorted(dims)} in POVM")
-        dim = ops[0].dim
-        stack = np.stack([e.matrix for e in ops])
+        if not isinstance(elements, np.ndarray):
+            elements = _checks.items(elements, "elements")
+        stack = _square_stack(elements)
+        if stack is not None:
+            stack = _hermitian_stack(stack)
+            ops = tuple(HermitianOperator._checked(m) for m in stack)
+        else:
+            ops = tuple(
+                e if isinstance(e, HermitianOperator) else HermitianOperator(e)
+                for e in elements
+            )
+            if not ops:
+                raise ValidationError("POVM needs at least one element")
+            dims = {e.dim for e in ops}
+            if len(dims) != 1:
+                raise DimensionMismatchError(f"mixed dimensions {sorted(dims)} in POVM")
+            stack = _frozen(np.stack([e.matrix for e in ops]))
+        dim = stack.shape[1]
         min_evals = np.linalg.eigvalsh(stack)[:, 0]
         bad = np.flatnonzero(min_evals < -TOL_PSD)
         if bad.size:
@@ -244,8 +299,8 @@ class Povm:
                 f"completeness violated: max |sum - identity| = {dev:.3e} > 1e-8"
             )
         self.dim: int = dim
-        self.elements: tuple = tuple(ops)
-        self._stack: np.ndarray = _frozen(stack)
+        self.elements: tuple = ops
+        self._stack: np.ndarray = stack
 
     def __len__(self) -> int:
         return len(self.elements)

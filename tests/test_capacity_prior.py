@@ -6,7 +6,9 @@ max_x D(W_x || pW) - I(p) bounds the capacity minus the returned value
 from above.  Closed-form capacities pin the value; the Blahut-Arimoto
 reference in ``_oracles`` is a floor the solver must always reach.  The
 Newton step as first written, also in ``_oracles``, must agree with every
-step of the solver bit for bit.
+step of the solver bit for bit.  The solve is ``_prior_step`` repeated;
+``informational_power_opt`` runs the full solve only at the start and end
+of each restart and one step per kept state move in between.
 """
 
 import math
@@ -14,9 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from infopurity import depolarized_scrooge_povm, informational_power_opt
+from infopurity import OptimizerConfig, depolarized_scrooge_povm, informational_power_opt
 from infopurity import infomeasures
-from infopurity.infomeasures import _capacity_prior, _newton_step
+from infopurity.infomeasures import (
+    _LOG_FLOOR,
+    _capacity_prior,
+    _newton_step,
+    _prior_step,
+    _row_divergences,
+)
 
 from _oracles import _joint_information, blahut_arimoto_prior, newton_step_reference
 
@@ -143,6 +151,48 @@ def test_never_below_reference_on_random_channels(seed):
         assert value >= blahut_arimoto_prior(channel, 1e-9, start)[1] - 1e-12
 
 
+def _repeated_step(channel, tol, warm):
+    # the solve written out as _prior_step repeated from the same start
+    if warm is None:
+        prior = np.full(len(channel), 1.0 / len(channel))
+    else:
+        prior = np.where(warm > 1e-12, warm, 0.0)
+        prior = prior / prior.sum()
+    log_channel = np.log(np.maximum(channel, _LOG_FLOOR))
+    target = max(tol, 1e-13)
+    d, _ = _row_divergences(prior, channel, log_channel)
+    value = float(prior @ d)
+    for _ in range(infomeasures._PRIOR_ITERS):
+        moved = _prior_step(prior, value, d, channel, log_channel, target)
+        if moved is None:
+            break
+        prior, value, d = moved
+    return prior, value, bool(d.max() - value < target)
+
+
+@pytest.mark.parametrize("letters", [2, 4, 9, 27])
+def test_repeated_step_is_the_solve(letters):
+    # bit for bit, from uniform and from warm starts with zeroed letters
+    rng = np.random.default_rng(100 + letters)
+    cases = [
+        (np.asarray(p.values[0], dtype=float), None) for p in CLOSED_FORM
+    ] + [
+        (np.asarray(p.values[0], dtype=float), np.asarray(p.values[1], dtype=float))
+        for p in WARM
+    ]
+    for k in range(100):
+        channel = rng.dirichlet(np.full(64, 0.5), size=letters)
+        warm = rng.dirichlet(np.ones(letters)) if k % 2 else None
+        if warm is not None:
+            warm[rng.choice(letters, size=letters // 2, replace=False)] = 0.0
+        cases.append((channel, warm))
+    for channel, warm in cases:
+        prior, value, certified = _capacity_prior(channel, 1e-9, warm)
+        ref_prior, ref_value, ref_certified = _repeated_step(channel, 1e-9, warm)
+        assert prior.tobytes() == ref_prior.tobytes()
+        assert (value, certified) == (ref_value, ref_certified)
+
+
 def test_capped_solve_reports_unconverged(monkeypatch):
     povm = depolarized_scrooge_povm(2, 0.9, 16, 5)
     monkeypatch.setattr(infomeasures, "_PRIOR_ITERS", 0)
@@ -209,3 +259,69 @@ def test_newton_step_matches_reference_on_random_channels(monkeypatch, letters):
         calls += _assert_matches_reference(monkeypatch, channel, warm)
     # both branches ran: Newton steps and refusals
     assert 0 < sum(calls) < len(calls)
+
+
+# informational_power_opt on the first cycle of the seed-7 scrooge-power
+# bench pool: (n, eps, count, seed) of depolarized_scrooge_povm and the
+# value the optimizer returned while it certified the prior after every
+# accepted state move
+POWER_CYCLE = [
+    (2, 0.8937643199907, 64, 1469265226, 0.17428680599706828),
+    (2, 0.916352853536779, 16, 1926751966, 0.23552203666382895),
+    (2, 0.8337810784985888, 64, 119253154, 0.15256534116132486),
+    (2, 0.9310330168094393, 64, 644602188, 0.18214684086241434),
+    (3, 0.8007897956848362, 27, 1073283950, 0.2289266467522808),
+    (2, 0.9195604143128069, 64, 1763574599, 0.19148617711756655),
+    (2, 0.8701902429265581, 64, 1753345572, 0.1671361078998887),
+    (2, 0.841763841815116, 64, 650757181, 0.16138567632259157),
+    (2, 0.8382304381481187, 64, 2126996169, 0.15564896388271332),
+    (2, 0.875682238843693, 16, 955794088, 0.20136560852456653),
+    (2, 0.8830246028111739, 64, 1094029749, 0.15967951058944901),
+    (2, 0.918899287882063, 64, 2137820580, 0.19966026630517547),
+    (2, 0.8933268844161744, 256, 732347575, 0.15843497378777172),
+    (2, 0.8322963047353399, 64, 2123775745, 0.1523670367747483),
+    (2, 0.8240318050786767, 64, 1841358262, 0.17392958979884174),
+    (2, 0.8065913011942075, 64, 1315418783, 0.12822742389840192),
+    (2, 0.8053520418160395, 64, 303992514, 0.1497315945362274),
+    (2, 0.8699309037987933, 16, 1105715322, 0.20664287602189363),
+    (2, 0.9375751659789278, 64, 1768373432, 0.18906856517191076),
+    (2, 0.8771176469899271, 64, 1351253092, 0.17561098326672467),
+    (3, 0.8745310153090257, 81, 814704260, 0.24216811232656424),
+    (2, 0.8017691038313759, 64, 531534247, 0.13947335869766442),
+    (2, 0.8288603215977967, 64, 2080950718, 0.15327005216592834),
+    (2, 0.8300910085980493, 64, 1486127663, 0.14325737997975502),
+]
+
+
+def test_one_step_per_move_keeps_the_values():
+    # a prior certified only before and after the ascent reaches the same
+    # optima as one certified after every accepted move
+    for n, eps, count, seed, value in POWER_CYCLE:
+        res = informational_power_opt(depolarized_scrooge_povm(n, eps, count, seed))
+        assert res.value == pytest.approx(value, abs=5e-9)
+        assert all(rec.converged for rec in res.restarts)
+
+
+def test_certified_solves_per_restart(monkeypatch):
+    # one certified solve per restart before the ascent and one per
+    # feasible restart after it; a solve per accepted move fails this
+    solves, ascents = [], []
+    solve, ascend = infomeasures._capacity_prior, infomeasures._ascend
+
+    def counted_solve(*args):
+        solves.append(len(ascents))
+        return solve(*args)
+
+    def counted_ascend(*args):
+        ascents.append(len(solves))
+        return ascend(*args)
+
+    monkeypatch.setattr(infomeasures, "_capacity_prior", counted_solve)
+    monkeypatch.setattr(infomeasures, "_ascend", counted_ascend)
+    cfg = OptimizerConfig(restarts=5)
+    res = informational_power_opt(depolarized_scrooge_povm(2, 0.85, 64, 6), cfg)
+    feasible = sum(np.isfinite(rec.value) for rec in res.restarts)
+    assert res.iterations > 100
+    assert ascents == [5]
+    assert solves == [0] * 5 + [1] * feasible
+    assert feasible == 5

@@ -13,6 +13,7 @@ from infopurity import (
     Povm,
     ValidationError,
     _checks,
+    depolarized_scrooge_povm,
     epsilon_for_purity,
     max_accessible_information,
     max_subentropy_at_purity,
@@ -112,6 +113,68 @@ class TestPovmCodec:
         }
         with pytest.raises(ValidationError):
             decode_povm(json.dumps(bad))
+
+
+def _povm_text_with(bad: dict) -> str:
+    # a six-element qubit POVM file; entries 3 and 5 are replaced, so entry
+    # 3 is the first bad one and entry 5 (non-Hermitian) must not be named
+    data = json.loads(encode_povm(depolarized_scrooge_povm(2, 0.9, 6, 11)))
+    for k, changes in ((5, {"matrix_im": [[0.0, 0.5], [0.5, 0.0]]}), (3, bad)):
+        for key, value in changes.items():
+            if value is None:
+                del data["elements"][k][key]
+            elif isinstance(value, tuple):
+                i, j, x = value
+                data["elements"][k][key][i][j] = x
+            else:
+                data["elements"][k][key] = value
+    return json.dumps(data)
+
+
+class TestStackedPovmErrors:
+    """The first bad element of a several-element file is named, with the
+    message a one-element decode gives it."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                {"matrix_im": [[0.0, 0.25], [0.25, 0.0]]},
+                "max |M - M^dag| = 5.000e-01 exceeds tolerance 1.0e-10",
+            ),
+            ({"matrix_re": (0, 1, math.nan)}, "matrix_re has a non-finite entry"),
+            ({"matrix_im": (1, 1, math.inf)}, "matrix_im has a non-finite entry"),
+            ({"matrix_re": [[0.5, 0.0]]}, "matrix_re must be 2 x 2, got shape (1, 2)"),
+            ({"matrix_im": [[0.0], [0.0, 0.0]]}, "matrix_im entries are not numbers"),
+            ({"matrix_re": (0, 0, True)}, "matrix_re has an entry that is not a number"),
+            ({"matrix_im": (1, 0, "0")}, "matrix_im has an entry that is not a number"),
+            ({"matrix_re": (1, 1, "x")}, "matrix_re entries are not numbers"),
+            ({"matrix_re": None}, "missing key 'matrix_re'"),
+        ],
+        ids=[
+            "non-hermitian", "nan", "inf", "wrong-shape", "ragged", "bool", "numeric-string",
+            "string", "missing-key",
+        ],
+    )
+    def test_first_bad_element_named(self, tmp_path, capsys, bad, message):
+        text = _povm_text_with(bad)
+        with pytest.raises(ValidationError) as err:
+            decode_povm(text)
+        assert err.value.field == "elements[3]"
+        assert str(err.value).startswith(f"elements[3]: {message}")
+        path = tmp_path / "bad-povm.json"
+        path.write_text(text)
+        assert main(["optimize-power", "--povm", str(path)]) == 3
+        assert "elements[3]: " in capsys.readouterr().err
+
+    def test_later_errors_follow_the_hermitian_check(self):
+        # a valid element stack that is not PSD names the element from the
+        # eigenvalue check, after every element passed the Hermitian one
+        data = json.loads(encode_povm(depolarized_scrooge_povm(2, 0.9, 6, 11)))
+        data["elements"][4]["matrix_re"] = [[-0.5, 0.0], [0.0, 0.5]]
+        with pytest.raises(ValidationError, match="min eigenvalue") as err:
+            decode_povm(json.dumps(data))
+        assert err.value.field == "elements[4]"
 
 
 # Encoder output of the parent writer, recorded byte for byte: n = 2 and 3,

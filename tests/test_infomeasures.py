@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infopurity import (
     DensityOperator,
@@ -25,6 +27,10 @@ from infopurity import (
     pure_state_density,
     symmetric_upper_bound,
 )
+from infopurity import infomeasures
+from infopurity.cli import main
+from infopurity.entropy import shannon_entropy
+from infopurity.fileio import save_ensemble
 from infopurity.infomeasures import _power_channel, _power_gradient
 
 from _oracles import (
@@ -83,6 +89,43 @@ class TestBounds:
     def test_holevo_single_state(self):
         rho = DensityOperator(random_density_matrix(2, np.random.default_rng(1)))
         assert holevo_upper(Ensemble([(1.0, rho)])) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("excess, raises", [(0.0, False), (2e-9, True), (1.0, True)])
+    def test_jrw_above_holevo_raises(self, monkeypatch, tmp_path, excess, raises):
+        # a subentropy that has lost its accuracy shows as a bound above
+        # Holevo's; Q is replaced by S, plus excess on the mixed average
+        # state of two pure ones
+        e = zero_plus_ensemble()
+
+        def inflated(spectrum):
+            value = shannon_entropy(spectrum.clipped())
+            return value + excess if spectrum.values[0] < 0.99 else value
+
+        monkeypatch.setattr(infomeasures, "subentropy", inflated)
+        path = tmp_path / "e.json"
+        save_ensemble(path, e)
+        if raises:
+            with pytest.raises(DimensionTooLargeError, match="exceeds the Holevo bound"):
+                jrw_lower(e)
+            assert main(["bounds", "--ensemble", str(path)]) == 4
+        else:
+            assert jrw_lower(e) == holevo_upper(e)
+            assert main(["bounds", "--ensemble", str(path)]) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_jrw_below_holevo_on_commuting_ensembles(self, n, raw, seed):
+        # diagonal states in one basis: the subentropy bound stays below the
+        # Holevo bound, which such an ensemble attains
+        rng = np.random.default_rng(seed)
+        weights = np.array(raw) / sum(raw)
+        states = [np.diag(rng.dirichlet(np.full(n, 0.5))) for _ in raw]
+        e = Ensemble(list(zip(weights, states)))
+        assert jrw_lower(e) <= holevo_upper(e) + 1e-9
 
 
 class TestAccessibleInfoOpt:

@@ -205,6 +205,46 @@ class TestQuantumTypes:
             Povm(elements)
         assert err.value.field == "elements[3]"
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.2, 0.1], [0.0, 0.2]]), NonHermitianError),
+            (np.array([[0.2, 1e-10j], [1e-10j, 0.2]]), NonHermitianError),
+            (np.array([[np.nan, 0.0], [0.0, 0.2]]), ValidationError),
+            (np.array([[0.2, np.inf], [np.inf, 0.2]]), ValidationError),
+        ],
+        ids=["non-hermitian", "just-above-tolerance", "nan", "inf"],
+    )
+    def test_stack_raises_first_elements_own_error(self, as_list, bad, error):
+        # the stacked check names what HermitianOperator says of the first
+        # bad element; a later bad element of another kind is not reached
+        stack = np.stack([np.eye(2, dtype=complex) / 6] * 6)
+        stack[2] = bad
+        stack[4] = [[0.2, np.nan], [0.0, 0.2]]
+        with pytest.raises(error) as want:
+            HermitianOperator(bad)
+        with pytest.raises(error) as got:
+            Povm(list(stack) if as_list else stack)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_stack_keeps_element_bits(self):
+        # each element equals its one-matrix Hermitian part, bit for bit
+        rng = np.random.default_rng(8)
+        raw = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+        raw = raw @ raw.conj().swapaxes(1, 2)
+        inv = np.linalg.inv(np.linalg.cholesky(raw.sum(axis=0)))
+        stack = inv @ raw @ inv.conj().T
+        stack += 1e-12j * rng.standard_normal(stack.shape)  # inside the tolerance
+        for elements in (stack, list(stack)):
+            m = Povm(elements)
+            want = [HermitianOperator(x).matrix for x in stack]
+            assert [e.matrix.tobytes() for e in m.elements] == [w.tobytes() for w in want]
+            assert m.stack().tobytes() == np.stack(want).tobytes()
+            assert not m.stack().flags.writeable
+            assert not m.elements[0].matrix.flags.writeable
+
     @pytest.mark.parametrize(
         "build",
         [

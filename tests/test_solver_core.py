@@ -62,9 +62,9 @@ def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
 @pytest.mark.parametrize(
     "args, sweeps, value",
     [
-        ((2, 0.9, 16, 5), 88, 0.19485543121794147),
-        ((2, 0.85, 64, 6), 108, 0.15719915881262456),
-        ((3, 0.9, 27, 7), 158, 0.31147498142276775),
+        ((2, 0.9, 16, 5), 87, 0.19485543121825116),
+        ((2, 0.85, 64, 6), 106, 0.15719915891840502),
+        ((3, 0.9, 27, 7), 164, 0.31147498139035107),
     ],
 )
 def test_informational_power_trajectory(args, sweeps, value):
