@@ -269,6 +269,17 @@ def _subentropy_depolarized(n: int, epsilon: float) -> float:
     return _in_range(q, n, "subentropy", epsilon)
 
 
+def _binomial_sum(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # the binomial sum of _subentropy_depolarized on arrays (the curve grid):
+    # log a is finite where a = 0, so every a^k term adds 0 there
+    log_a = np.log(np.maximum(a, _LOG_FLOOR))
+    sig_n = _table(n).tail
+    q = -sig_n
+    for k, comb, sig_k in _binomial_terms(n):
+        q = q + comb * a**k * (log_a - sig_k) / c ** (k - 1)
+    return q - b**n * (np.log(b) - sig_n) / c ** (n - 1)
+
+
 def _in_range(value: float, n: int, what: str, epsilon: float | None = None) -> float:
     # the range guard of subentropy and the lower curve: Q and ln n - S_n - Q
     # both lie in [0, ln n - S_n]; nan or a miss above 1e-12 raises, roundoff

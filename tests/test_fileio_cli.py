@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infopurity import (
+    DimensionTooLargeError,
     Ensemble,
     Povm,
     ValidationError,
@@ -472,6 +473,28 @@ class TestCurveCommand:
         assert upper.value == tradeoff._max_access(n, m, a, b)
         assert upper.params == {"m": m, "alpha": alpha, "a": a, "b": b}
         assert max_subentropy_at_purity(n, p).value == _subentropy_depolarized(n, eps)
+
+    @pytest.mark.parametrize(
+        "n, points",
+        [(n, k) for n in range(2, 9) for k in (2, 3, 17, 500, 512, 4096)]
+        + [(n, k) for n in (9, 16) for k in (3, 50)],
+    )
+    def test_grid_matches_scalar_kernels(self, n, points):
+        # numpy's log and pow may differ from libm's in the last bit, and the
+        # binomial sum's cancellation amplifies that on the lower curve
+        grid, lower, upper = tradeoff._curves(n, points)
+        assert grid.tolist() == np.linspace(1.0 / n, 1.0, points).tolist()
+        for p, q, s in zip(grid.tolist(), lower.tolist(), upper.tolist()):
+            assert abs(q - tradeoff._min_power(n, tradeoff._epsilon(n, p))) <= 1e-10
+            m, _, a, b = tradeoff._two_level_params(n, p)
+            assert abs(s - tradeoff._max_access(n, m, a, b)) <= 1e-15
+
+    def test_grid_raises_where_the_scalar_kernel_does(self):
+        with pytest.raises(DimensionTooLargeError) as want:
+            tradeoff._min_power(1025, 0.0)
+        with pytest.raises(DimensionTooLargeError) as got:
+            curve_csv_text(1025, 3)
+        assert str(got.value) == str(want.value)
 
     def test_checks_once_per_csv(self, monkeypatch):
         # the arguments are checked for the whole grid, not per point

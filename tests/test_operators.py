@@ -237,7 +237,7 @@ class TestQuantumTypes:
         inv = np.linalg.inv(np.linalg.cholesky(raw.sum(axis=0)))
         stack = inv @ raw @ inv.conj().T
         stack += 1e-12j * rng.standard_normal(stack.shape)  # inside the tolerance
-        for elements in (stack, list(stack)):
+        for elements in (stack, list(stack), list(Povm(stack).elements)):
             m = Povm(elements)
             want = [HermitianOperator(x).matrix for x in stack]
             assert [e.matrix.tobytes() for e in m.elements] == [w.tobytes() for w in want]
