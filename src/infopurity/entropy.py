@@ -36,8 +36,13 @@ _LOG_FLOOR = 1e-300
 
 
 def _eta(x: np.ndarray) -> np.ndarray:
-    """-x ln(x) elementwise, 0 where x <= 0."""
-    return np.where(x > 0.0, -x * np.log(np.maximum(x, _LOG_FLOOR)), 0.0)
+    """-x ln(x) elementwise, 0 where x <= 0 (or nan), as one new array."""
+    out = np.maximum(x, _LOG_FLOOR)
+    np.log(out, out=out)
+    out *= x
+    np.negative(out, out=out)  # -(x ln x) has the bits of (-x) ln x
+    out[~(x > 0.0)] = 0.0
+    return out
 
 
 def xlnx(x: float) -> float:

@@ -19,7 +19,11 @@ Every optimizer runs all of its restarts in lock-step through one
 backtracking ascent over stacked arrays (restart = leading axis): each
 restart keeps its own step and convergence state, so it takes exactly the
 trials it would take alone, while the linear algebra of one sweep runs
-once for the whole stack.
+once for the whole stack.  Each line search starts at step 1.0, below the
+working step of nearly every restart, and backtracks by 0.4 from there.
+The three optimizers read their operators A_k (the ensemble's states, the
+POVM's elements) through one kernel pair over vector stacks: the
+expectations <v| A_k |v> and the weighted action sum_k w_k A_k |v>.
 
 Two routines first look for a certificate in their input and skip the
 ascent when they find one; both certificates hold for commuting
@@ -75,7 +79,7 @@ _MAX_SWEEPS = 300
 _PRIOR_ITERS = 50
 _SYM_STARTS = 32
 # line-search step every restart starts from
-_FIRST_STEP = 0.2
+_FIRST_STEP = 1.0
 # largest off-diagonal entry (absolute) of a state counted as diagonal in a basis
 _DIAGONAL_ATOL = 1e-12
 
@@ -108,7 +112,7 @@ class RestartRecord:
     feasible start), sweeps, converged flag and final line-search step.
     It has no wall time: the restarts run in lock-step on one clock.  A
     certified spectral exit is one record with 0 sweeps, converged, at the
-    untouched first step 0.2.
+    untouched first step 1.0.
     """
 
     kind: str
@@ -187,42 +191,60 @@ def _ascend(value, state, direction, attempt, tol):
     which returns their trial values (-inf if infeasible) and states.  Per
     row, the first trial that raises the value is kept and grows the
     row's step by 1.3 (up to 1e3); every other trial shrinks it by 0.4
-    (down to 1e-14).  Three sweeps in a row gaining less than ``tol`` stop
-    a row as converged, so each row takes exactly the trials it would
-    take alone.  Returns per-row ``(value, state, sweeps, converged,
-    step)``; sweeps is 300 for an unconverged row, 0 for an infeasible one.
+    (down to 1e-14).  Every row starts at step 1.0.  Three sweeps in a row
+    gaining less than ``tol`` stop a row as converged, so each row takes
+    exactly the trials it would take alone.  Returns per-row ``(value,
+    state, sweeps, converged, step)``; sweeps is 300 for an unconverged
+    row, 0 for an infeasible one.
     """
-    value = np.array(value, dtype=float)
-    step = np.full(value.size, _FIRST_STEP)
-    strikes = np.zeros(value.size, dtype=int)
-    converged = np.zeros(value.size, dtype=bool)
-    sweeps = np.where(np.isfinite(value), _MAX_SWEEPS, 0)
-    running = np.flatnonzero(sweeps)
+    # the per-row bookkeeping runs on Python floats, as in a one-row loop:
+    # numpy only gathers the rows in play and writes back the rows that rose
+    value = np.asarray(value, dtype=float).tolist()
+    rows = len(value)
+    step = [_FIRST_STEP] * rows
+    strikes = [0] * rows
+    sweeps = [_MAX_SWEEPS if math.isfinite(v) else 0 for v in value]
+    converged = [False] * rows
+    running = [r for r in range(rows) if sweeps[r]]
     for sweep in range(1, _MAX_SWEEPS + 1):
-        if running.size == 0:
+        if not running:
             break
-        move = direction(_take(state, running))
-        gained = np.zeros(running.size)
-        search = np.flatnonzero(step[running] > 1e-14)  # positions in running
-        while search.size:
-            idx = running[search]
-            trial_value, trial = attempt(_take(state, idx), _take(move, search), step[idx])
-            up = trial_value > value[idx]
-            hit = idx[up]
-            gained[search[up]] = trial_value[up] - value[hit]
-            value[hit] = trial_value[up]
-            for part, new in zip(state, trial):
-                part[hit] = new[up]
-            step[hit] = np.minimum(step[hit] * 1.3, 1e3)
-            miss = idx[~up]
-            step[miss] *= 0.4
-            search = search[~up][step[miss] > 1e-14]
-        strikes[running] = np.where(gained < tol, strikes[running] + 1, 0)
-        done = strikes[running] >= 3
-        sweeps[running[done]] = sweep
-        converged[running[done]] = True
-        running = running[~done]
-    return value, state, sweeps, converged, step
+        move = direction(state if len(running) == rows else _take(state, running))
+        gained = [0.0] * len(running)
+        search = [k for k, r in enumerate(running) if step[r] > 1e-14]  # positions in running
+        while search:
+            idx = [running[k] for k in search]
+            trial_value, trial = attempt(
+                state if len(idx) == rows else _take(state, idx),
+                move if len(search) == len(running) else _take(move, search),
+                np.array([step[r] for r in idx]),
+            )
+            up, rest = [], []
+            for j, (k, r, v) in enumerate(zip(search, idx, trial_value.tolist())):
+                if v > value[r]:
+                    gained[k] = v - value[r]
+                    value[r] = v
+                    step[r] = min(step[r] * 1.3, 1e3)
+                    up.append(j)
+                else:
+                    step[r] *= 0.4
+                    if step[r] > 1e-14:
+                        rest.append(k)
+            if up:
+                hit = [idx[j] for j in up]
+                for part, new in zip(state, trial):
+                    part[hit] = new[up]
+            search = rest
+        still = []
+        for k, r in enumerate(running):
+            strikes[r] = strikes[r] + 1 if gained[k] < tol else 0
+            if strikes[r] >= 3:
+                sweeps[r] = sweep
+                converged[r] = True
+            else:
+                still.append(r)
+        running = still
+    return np.array(value), state, np.array(sweeps), np.array(converged), np.array(step)
 
 
 def _best_restart(first_kind, value, sweeps, converged, step):
@@ -246,34 +268,44 @@ def _symmetrize_vectors(vecs: np.ndarray):
     singular (smallest eigenvalue below 1e-12), and its vectors are then
     meaningless.
     """
-    s = np.einsum("ryi,ryj->rij", vecs, vecs.conj())
-    s_dag = s.conj().swapaxes(-1, -2)
-    dev = np.abs(s - s_dag).max()
+    s = vecs.swapaxes(-1, -2) @ vecs.conj()
+    dev = np.abs(s - s.conj().swapaxes(-1, -2)).max()
     if not dev <= 1e-8:  # NaN and inf entries fail too
         raise NonHermitianError(f"frame operator not finite and Hermitian: {dev:.3e}")
     try:
-        evals, basis = np.linalg.eigh((s + s_dag) / 2.0)
+        evals, basis = np.linalg.eigh(s)  # reads one triangle
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigh did not converge: {exc}") from exc
     feasible = evals[:, 0] >= 1e-12
     evals = np.where(feasible[:, None], evals, 1.0)
-    inv_sqrt = (basis * (1.0 / np.sqrt(evals))[:, None, :]) @ basis.conj().swapaxes(-1, -2)
-    return vecs @ inv_sqrt.swapaxes(-1, -2), feasible
+    # v S^(-1/2) applied to row vectors: (S^(-1/2))^T = conj(U) diag(evals^-1/2) U^T
+    inv_sqrt_t = (basis.conj() * (1.0 / np.sqrt(evals))[:, None, :]) @ basis.swapaxes(-1, -2)
+    return vecs @ inv_sqrt_t, feasible
+
+
+def _expectations(flat, vecs):
+    """e[..., k] = <v| A_k |v>, floored at 0, for a stack of vectors
+    ``vecs`` (last axis n) and operators A_k flattened to ``(K, n^2)``."""
+    outer = vecs.conj()[..., :, None] * vecs[..., None, :]
+    return np.maximum((outer.reshape(*vecs.shape[:-1], -1) @ flat.T).real, 0.0)
+
+
+def _weighted_action(flat, weights, vecs):
+    """sum_k weights[..., k] A_k |v> for a stack of vectors ``vecs`` (last
+    axis n) and operators A_k flattened to ``(K, n^2)``."""
+    return ((weights @ flat).reshape(*vecs.shape, -1) @ vecs[..., None])[..., 0]
 
 
 def _see_saw_accessible(rhos, weights, start_vecs, tol):
     """Every see-saw restart in lock-step from an ``(R, K, n)`` stack of
     outcome vectors; returns ``_ascend``'s arrays with state ``(vecs, p)``."""
     log_weights = np.log(np.maximum(weights, _LOG_FLOOR))[:, None]
-
-    def joint(vecs):
-        # p[r, x, y] = <v_y| rho_x |v_y>, rho_x sub-normalized
-        p = np.einsum("ryi,xij,ryj->rxy", vecs.conj(), rhos, vecs).real
-        return np.maximum(p, 0.0)
+    flat = rhos.reshape(len(rhos), -1)
 
     def evaluate(vecs):
         vecs, feasible = _symmetrize_vectors(vecs)
-        p = joint(vecs)
+        # p[r, x, y] = <v_y| rho_x |v_y>, rho_x sub-normalized
+        p = _expectations(flat, vecs).swapaxes(-1, -2)
         return np.where(feasible, _mutual_info(p), -np.inf), (vecs, p)
 
     def direction(state):
@@ -284,9 +316,7 @@ def _see_saw_accessible(rhos, weights, start_vecs, tol):
             - log_weights
             - np.log(np.maximum(py, _LOG_FLOOR))[:, None, :]
         )
-        # two einsums: a fused three-operand one sums in another order
-        grad = np.einsum("rxy,xij->ryij", logs, rhos)
-        return (np.einsum("ryij,ryj->ryi", grad, vecs),)
+        return (_weighted_action(flat, logs.swapaxes(-1, -2), vecs),)
 
     def attempt(state, move, step):
         return evaluate(state[0] + step[:, None, None] * move[0])
@@ -493,18 +523,6 @@ def _fixed_prior_information(prior: np.ndarray, channel: np.ndarray, log_channel
     return (prior[:, None, :] @ d[:, :, None])[:, 0, 0], d, logs
 
 
-def _power_channel(flat, states):
-    """b[r, x, y] = <s_x| E_y |s_x>, floored at 0, for an ``(R, K, n)``
-    state stack and the POVM flattened to ``(Y, n^2)``."""
-    outer = states.conj()[..., :, None] * states[..., None, :]
-    return np.maximum((outer.reshape(*states.shape[:-1], -1) @ flat.T).real, 0.0)
-
-
-def _power_gradient(flat, logs, states):
-    """sum_y logs[r, x, y] E_y |s_x> for an ``(R, K, Y)`` weight stack."""
-    return ((logs @ flat).reshape(*states.shape, -1) @ states[..., None])[..., 0]
-
-
 def _power_restart(povm_stack, states, tol):
     """Every restart in lock-step from an ``(R, K, n)`` stack of states:
     state gradient ascent at fixed prior, where each state move that
@@ -518,7 +536,7 @@ def _power_restart(povm_stack, states, tol):
 
     def channels(states):
         # the channel of a state stack and its floored log
-        channel = _power_channel(flat, states)
+        channel = _expectations(flat, states)
         return channel, np.log(np.maximum(channel, _LOG_FLOOR))
 
     def certify(channel, rows, warm):
@@ -532,7 +550,7 @@ def _power_restart(povm_stack, states, tol):
     def direction(state):
         states, prior, channel, log_channel = state
         fixed_value, _, logs = _fixed_prior_information(prior, channel, log_channel)
-        return _power_gradient(flat, logs, states), fixed_value
+        return _weighted_action(flat, logs, states), fixed_value
 
     def attempt(state, move, step):
         states, prior, _, _ = state
@@ -624,25 +642,26 @@ def _symmetric_descent(sigmas: np.ndarray, weights: np.ndarray, avg_basis: np.nd
     """-min_phi sum_x w_x eta(<phi| sigma_x |phi>) by projected gradient
     descent on the unit sphere from 32 starts: the n basis vectors, the n
     columns of ``avg_basis`` and Haar states (seed 0, stream 2000) for the
-    rest, run in lock-step as one stack."""
+    rest, run in lock-step as one stack.  Each row holds its state as a
+    (1, n) block, so the kernels multiply every row on its own and a row
+    gets the same bits in a stack of any height."""
     n = sigmas.shape[-1]
-
-    def overlaps(phi: np.ndarray) -> np.ndarray:
-        return np.einsum("ri,xij,rj->rx", phi.conj(), sigmas, phi).real
+    flat = sigmas.reshape(len(sigmas), -1)
 
     def neg_objective(phi: np.ndarray) -> np.ndarray:
-        return _neg_symmetric_objective(overlaps(phi), weights)
+        # eta vanishes at and below zero, so the kernel's floor at 0 keeps it
+        return _neg_symmetric_objective(_expectations(flat, phi), weights)[:, 0]
 
     def direction(state):
         (phi,) = state
-        coef = weights * (-(np.log(np.maximum(overlaps(phi), _LOG_FLOOR)) + 1.0))
-        grad = np.einsum("rx,xij,rj->ri", coef, sigmas, phi)
-        grad -= np.einsum("ri,ri->r", phi.conj(), grad)[:, None] * phi  # tangent projection
+        coef = weights * (-(np.log(np.maximum(_expectations(flat, phi), _LOG_FLOOR)) + 1.0))
+        grad = _weighted_action(flat, coef, phi)
+        grad -= np.einsum("rki,rki->rk", phi.conj(), grad)[..., None] * phi  # tangent projection
         return (grad,)
 
     def attempt(state, move, step):
-        trial = state[0] - step[:, None] * move[0]
-        trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+        trial = state[0] - step[:, None, None] * move[0]
+        trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
         return neg_objective(trial), (trial,)
 
     starts = np.concatenate([
@@ -650,7 +669,7 @@ def _symmetric_descent(sigmas: np.ndarray, weights: np.ndarray, avg_basis: np.nd
         avg_basis.T,
         HaarSampler(n, 0, stream_id=2000).states(_SYM_STARTS - 2 * n),
     ])
-    phi = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    phi = (starts / np.linalg.norm(starts, axis=1, keepdims=True))[:, None, :]
     return _ascend(neg_objective(phi), (phi,), direction, attempt, 1e-9)[0].max()
 
 

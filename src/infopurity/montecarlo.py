@@ -136,12 +136,20 @@ def mc_min_power_estimate(
         shard_counts.append(samples % SHARD_SIZE)
 
     def run_shard(i: int):
-        u = HaarSampler(n, sampler.seed, sampler.stream_id + i)._gen.random(shard_counts[i])
-        # t = -expm1(log1p(-u) / (n - 1)) inverts the Beta(1, n - 1) CDF
-        vals = _eta(c * -np.expm1(np.log1p(-u) / (n - 1)) + a)
+        x = HaarSampler(n, sampler.seed, sampler.stream_id + i)._gen.random(shard_counts[i])
+        # x = c t + a in place over the uniforms u, with t = -expm1(log1p(-u)
+        # / (n - 1)) inverting the Beta(1, n - 1) CDF; c * -t = -c * t exactly
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        x /= n - 1
+        np.expm1(x, out=x)
+        x *= -c
+        x += a
+        vals = _eta(x)
         mean = float(vals.mean())
-        sq = float(((vals - mean) ** 2).sum())
-        return (len(vals), mean, sq)
+        vals -= mean
+        np.square(vals, out=vals)
+        return (len(vals), mean, float(vals.sum()))
 
     if hasattr(os, "sched_getaffinity"):  # honours taskset and cpusets
         cpus = len(os.sched_getaffinity(0))

@@ -17,9 +17,13 @@ library's capacity prior once used, kept with its stall rule so the
 Newton solver can be shown never to fall below it.  The scalar ascent and
 restart picker are the one-restart-at-a-time loop the optimizers ran
 before their restarts went into lock-step; the lock-step loop must take
-the same trials row by row.  The einsum kernels and the Newton step are
-the power optimizer's earlier channel, gradient and KKT solve: the matmul
-kernels must agree with them to roundoff, the Newton step bit for bit.
+the same trials row by row.  The einsum kernels are the three
+optimizers' earlier forms of <v| A_k |v> and sum_k w_k A_k |v>: the power
+optimizer's channel and gradient, the see-saw's joint distribution and
+gradient and the symmetric-bound descent's overlaps and gradient; the two
+shared matmul kernels must agree with each of them to roundoff.  The
+Newton step is the power optimizer's earlier KKT solve, which the solver
+must match bit for bit.
 The Monte Carlo has two references.  The uniform oracle redraws each
 shard's uniforms from a fresh Philox stream and maps them by the Beta(1,
 n - 1) inverse CDF written as a power, 1 - (1 - u)^(1/(n-1)); the
@@ -318,7 +322,7 @@ def ascend_scalar(value, state, direction, attempt, tol, max_sweeps: int = 300):
     an infeasible trial.  Returns ``(value, state, sweeps, converged,
     step)``.
     """
-    step = 0.2
+    step = 1.0
     strikes = 0
     for sweep in range(1, max_sweeps + 1):
         move = direction(state)
@@ -361,6 +365,28 @@ def power_channel_einsum(povm_stack, states):
 def power_gradient_einsum(povm_stack, logs, states):
     """sum_y logs[r, x, y] E_y |s_x> by one einsum."""
     return np.einsum("rxy,yij,rxj->rxi", logs, povm_stack, states)
+
+
+def see_saw_joint_einsum(rhos, vecs):
+    """p[r, x, y] = <v_y| rho_x |v_y>, floored at 0, by one einsum."""
+    return np.maximum(np.einsum("ryi,xij,ryj->rxy", vecs.conj(), rhos, vecs).real, 0.0)
+
+
+def see_saw_gradient_einsum(rhos, logs, vecs):
+    """sum_x logs[r, x, y] rho_x |v_y> by two einsums (a fused three-operand
+    one sums in another order)."""
+    grad = np.einsum("rxy,xij->ryij", logs, rhos)
+    return np.einsum("ryij,ryj->ryi", grad, vecs)
+
+
+def descent_overlaps_einsum(sigmas, phi):
+    """u[r, x] = <phi_r| sigma_x |phi_r> by one einsum, not floored."""
+    return np.einsum("ri,xij,rj->rx", phi.conj(), sigmas, phi).real
+
+
+def descent_gradient_einsum(sigmas, coef, phi):
+    """sum_x coef[r, x] sigma_x |phi_r> by one einsum."""
+    return np.einsum("rx,xij,rj->ri", coef, sigmas, phi)
 
 
 def newton_step_reference(prior, d, channel, best):

@@ -31,14 +31,18 @@ from infopurity import infomeasures
 from infopurity.cli import main
 from infopurity.entropy import shannon_entropy
 from infopurity.fileio import save_ensemble
-from infopurity.infomeasures import _power_channel, _power_gradient
+from infopurity.infomeasures import _expectations, _weighted_action
 
 from _oracles import (
+    descent_gradient_einsum,
+    descent_overlaps_einsum,
     power_channel_einsum,
     power_gradient_einsum,
     qubit_projective_grid_max,
     random_density_matrix,
     random_symmetrized_povm,
+    see_saw_gradient_einsum,
+    see_saw_joint_einsum,
 )
 
 LN2 = math.log(2)
@@ -224,13 +228,50 @@ class TestInformationalPowerOpt:
         stack = depolarized_scrooge_povm(n, 0.9, count, seed=count).stack()
         flat = stack.reshape(count, -1)
         states = np.stack([HaarSampler(n, 0, stream_id=r).states(n * n) for r in range(4)])
-        channel = _power_channel(flat, states)
+        channel = _expectations(flat, states)
         ref = power_channel_einsum(stack, states)
         assert np.abs(channel - ref).max() <= 1e-15 * np.abs(ref).max()
         logs = np.log(np.maximum(channel, 1e-300)) - np.log(channel.mean(axis=1, keepdims=True))
-        grad = _power_gradient(flat, logs, states)
+        grad = _weighted_action(flat, logs, states)
         ref = power_gradient_einsum(stack, logs, states)
         assert np.abs(grad - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _close(got, ref):
+    return np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_see_saw_kernels_match_einsum(n):
+    # the see-saw's joint and gradient through the shared kernels, on
+    # sub-normalized states and four Haar frames of n^2 outcomes
+    rng = np.random.default_rng(40 + n)
+    weights = rng.dirichlet(np.ones(n + 2))
+    rhos = np.stack([w * random_density_matrix(n, rng) for w in weights])
+    flat = rhos.reshape(len(rhos), -1)
+    vecs = np.stack([HaarSampler(n, 1, stream_id=r).states(n * n) for r in range(4)])
+    p = _expectations(flat, vecs).swapaxes(-1, -2)
+    assert _close(p, see_saw_joint_einsum(rhos, vecs))
+    logs = rng.standard_normal(p.shape)
+    grad = _weighted_action(flat, logs.swapaxes(-1, -2), vecs)
+    assert _close(grad, see_saw_gradient_einsum(rhos, logs, vecs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_descent_kernels_match_einsum(n):
+    # the descent's overlaps and gradient through the shared kernels, on
+    # 32 unit vectors held as (1, n) blocks
+    rng = np.random.default_rng(50 + n)
+    sigmas = np.stack([random_density_matrix(n, rng) for _ in range(n + 3)])
+    flat = sigmas.reshape(len(sigmas), -1)
+    phi = HaarSampler(n, 2, stream_id=0).states(32)
+    u = _expectations(flat, phi[:, None, :])[:, 0]
+    ref = descent_overlaps_einsum(sigmas, phi)
+    assert ref.min() > 0.0  # the kernel's floor at 0 does not act
+    assert _close(u, ref)
+    coef = rng.standard_normal(u.shape)
+    grad = _weighted_action(flat, coef[:, None, :], phi[:, None, :])[:, 0]
+    assert _close(grad, descent_gradient_einsum(sigmas, coef, phi))
 
 
 class TestSymmetricUpperBound:

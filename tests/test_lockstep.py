@@ -71,7 +71,7 @@ def replay_rows(call):
         if np.isfinite(value[r]):
             runs.append(ascend_scalar(float(value[r]), _row(state, r), direction_1, attempt_1, tol))
         else:
-            runs.append((-math.inf, None, 0, False, 0.2))
+            runs.append((-math.inf, None, 0, False, 1.0))
     return runs
 
 
@@ -138,7 +138,7 @@ def test_rank_deficient_row_is_dropped():
         )
     alone = _see_saw_accessible(rhos, weights, good, 1e-9)
     assert value[1] == -math.inf
-    assert (sweeps[1], converged[1], step[1]) == (0, False, 0.2)
+    assert (sweeps[1], converged[1], step[1]) == (0, False, 1.0)
     assert value[[0, 2]] == pytest.approx(alone[0], abs=1e-13)
     assert sweeps[[0, 2]].tolist() == alone[2].tolist()
     assert converged[[0, 2]].tolist() == alone[3].tolist()
@@ -175,7 +175,8 @@ def test_spectral_restart_keeps_n_outcomes(calls, n, purity):
 
 
 def test_haar_restart_win_keeps_n_squared_outcomes():
-    ensemble = random_ensemble(2, 3, np.random.default_rng(12))
+    # restart 2 beats the spectral restart by 4.6e-6 nats on this input
+    ensemble = random_ensemble(2, 3, np.random.default_rng(27))
     res = accessible_info_opt(ensemble)
     values = [rec.value for rec in res.restarts]
     assert values.index(max(values)) > 0  # a Haar restart wins

@@ -245,6 +245,25 @@ class TestQuantumTypes:
             assert not m.stack().flags.writeable
             assert not m.elements[0].matrix.flags.writeable
 
+    def test_operators_and_arrays_in_one_list(self):
+        # operators are kept as they are, the arrays beside them checked one at
+        # a time, and the PSD check on the stack names the element it fails
+        half = basis_projector(2, 0) / 2
+        op = HermitianOperator(half)
+        rest = basis_projector(2, 1) / 2
+        m = Povm([op, rest, op, rest * (1 + 1e-12j)])
+        assert m.elements[0] is op and m.elements[2] is op
+        want = [half, rest, half, HermitianOperator(rest * (1 + 1e-12j)).matrix]
+        assert m.stack().tobytes() == np.stack(want).tobytes()
+        assert not m.stack().flags.writeable
+        with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \[2, 3\]"):
+            Povm([op, np.eye(3, dtype=complex)])
+        with pytest.raises(DimensionMismatchError):
+            Povm([HermitianOperator(np.eye(3)), op, rest])
+        with pytest.raises(ValidationError) as err:
+            Povm([op, HermitianOperator(np.diag([1.5, 0.0])), np.diag([-1.0, 1.0])])
+        assert err.value.field == "elements[2]"
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -1,5 +1,6 @@
-"""Pinned optimizer trajectories and the package's structure: its imports
-and the one module each shared rule lives in.
+"""Pinned optimizer trajectories and the package's structure: its imports,
+the one module each shared rule lives in and the one kernel pair the
+optimizers share.
 
 The optimizers are deterministic, so their sweep counts, convergence
 flags and values are fixed for a given input.  Pinning them makes any
@@ -32,10 +33,11 @@ PACKAGE = Path(infopurity.__file__).parent
 @pytest.mark.parametrize(
     "n, purity, sweeps, value, sym_value",
     [
-        (2, 0.7, 57, 0.21608162004978376, 0.21608162004978393),
-        (3, 0.5, 77, 0.40546510810816455, 0.4054651081081645),
-        (4, 0.4, 93, 0.40616215068068195, 0.40616215068068207),
+        (2, 0.7, 46, 0.21608162004978376, 0.21608162004978393),
+        (3, 0.5, 62, 0.40546510810816455, 0.4054651081081645),
+        (4, 0.4, 78, 0.40616215068068195, 0.40616215068068207),
     ],
+    ids=["n2", "n3", "n4"],
 )
 def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
     # the see-saw and the descent that the certified exits skip on these
@@ -62,10 +64,11 @@ def test_accessible_info_trajectory(n, purity, sweeps, value, sym_value):
 @pytest.mark.parametrize(
     "args, sweeps, value",
     [
-        ((2, 0.9, 16, 5), 87, 0.19485543121825116),
-        ((2, 0.85, 64, 6), 106, 0.15719915891840502),
-        ((3, 0.9, 27, 7), 164, 0.31147498139035107),
+        ((2, 0.9, 16, 5), 73, 0.19485543121013355),
+        ((2, 0.85, 64, 6), 93, 0.15719915893609188),
+        ((3, 0.9, 27, 7), 147, 0.3114749814076348),
     ],
+    ids=["n2-16", "n2-64", "n3-27"],
 )
 def test_informational_power_trajectory(args, sweeps, value):
     res = informational_power_opt(depolarized_scrooge_povm(*args))
@@ -87,6 +90,65 @@ def test_no_import_inside_functions():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert found == []
+
+
+# the operator stack each optimizer's ascent reads, by parameter name
+_OPERATOR_STACKS = {
+    "_see_saw_accessible": "rhos",
+    "_symmetric_descent": "sigmas",
+    "_power_restart": "povm_stack",
+}
+_SHARED_KERNELS = ("_expectations", "_weighted_action")
+
+
+def _stack_uses(fn: ast.FunctionDef, stack: str) -> tuple[list[str], set[str]]:
+    # every use of the operator stack, or of ``flat`` (its flattened form),
+    # other than its shape, its length, the reshape assigned to ``flat`` or
+    # the first argument of a shared kernel; and the shared kernels the
+    # function calls
+    parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+    found, kernels = [], set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _SHARED_KERNELS:
+            kernels.add(node.func.id)
+        if not isinstance(node, ast.Name) or node.id not in (stack, "flat"):
+            continue
+        up = parent[node]
+        if isinstance(node.ctx, ast.Store):
+            continue
+        if isinstance(up, ast.Attribute) and up.attr == "shape":
+            continue
+        if isinstance(up, ast.Attribute) and up.attr == "reshape":
+            assign = parent[parent[up]]
+            targets = [getattr(t, "id", None) for t in getattr(assign, "targets", ())]
+            if isinstance(assign, ast.Assign) and targets == ["flat"]:
+                continue
+        if _called(up, "len") or (
+            isinstance(up, ast.Call)
+            and getattr(up.func, "id", None) in _SHARED_KERNELS
+            and up.args[0] is node
+        ):
+            continue
+        call = "einsum" if _called(up, "einsum") else type(up).__name__
+        found.append(f"{fn.name}:{node.lineno} {node.id} in {call}")
+    return found, kernels
+
+
+def test_optimizers_share_one_kernel_pair():
+    # the see-saw, the symmetric-bound descent and the power path pass their
+    # operator stack to no einsum or product of their own: <v| A_k |v> and
+    # sum_k w_k A_k |v> come only from the two shared kernels
+    tree = ast.parse((PACKAGE / "infomeasures.py").read_text(encoding="utf-8"))
+    functions = {
+        fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+    }
+    assert all(name in functions for name in (*_SHARED_KERNELS, *_OPERATOR_STACKS))
+    found = []
+    for name, stack in _OPERATOR_STACKS.items():
+        uses, kernels = _stack_uses(functions[name], stack)
+        found += uses
+        found += [f"{name} does not call {k}" for k in _SHARED_KERNELS if k not in kernels]
     assert found == []
 
 
