@@ -134,9 +134,7 @@ def _cmd_optimize_power(args) -> int:
 
 def _cmd_mc(args) -> int:
     sampler = HaarSampler(args.n, args.seed)
-    est = mc_min_power_estimate(
-        args.n, args.epsilon, args.samples, sampler, threads=args.threads
-    )
+    est = mc_min_power_estimate(args.n, args.epsilon, args.samples, sampler)
     analytic = min_informational_power(
         args.n, purity_for_epsilon(args.n, args.epsilon)
     ).value
@@ -196,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="cap on worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1, help="must be >= 1; no effect, runs in one thread"
+    )
     p.set_defaults(func=_cmd_mc)
     return parser
 

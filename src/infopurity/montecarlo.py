@@ -1,24 +1,21 @@
 """Haar-measure sampling and statistical estimation.
 
 Determinism contract: a state drawn at a given (seed, stream_id, draw
-index) is bit-identical across runs, batch sizes and worker counts.
-Streams are counter-based (Philox) keyed by (seed, stream_id); estimates
-shard the sample budget over consecutive stream ids and combine the
-per-shard summaries in a fixed-shape pairwise tree, so the reduction is
-independent of scheduling and of the number of workers.  The estimator
-needs only the overlap t = |<e1|phi>|^2 of a Haar state, which follows
-the Beta(1, n - 1) law: shard i draws one uniform per sample from stream
-base + i and maps it through the inverse CDF, so no state vector is
-built and the cost per sample does not depend on n.  ``states()``
-draws 2 * dim uniforms per state from the same streams; the estimator
-does not call it.
+index) is bit-identical across runs and batch sizes.  Streams are
+counter-based (Philox) keyed by (seed, stream_id); estimates shard the
+sample budget over consecutive stream ids, run the shards in order in
+the calling thread and combine the per-shard summaries in a fixed-shape
+pairwise tree.  The estimator needs only the overlap t = |<e1|phi>|^2 of
+a Haar state, which follows the Beta(1, n - 1) law: shard i draws one
+uniform per sample from stream base + i and maps it through the inverse
+CDF, so no state vector is built and the cost per sample does not depend
+on n.  ``states()`` draws 2 * dim uniforms per state from the same
+streams; the estimator does not call it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +100,6 @@ def mc_min_power_estimate(
     epsilon: float,
     samples: int,
     sampler: HaarSampler | None = None,
-    *,
-    threads: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of the minimum-informational-power curve.
 
@@ -115,15 +110,13 @@ def mc_min_power_estimate(
     ``sampler`` provides the (seed, stream_id) base, (0, 0) by default;
     shard i of 2^14 samples draws one uniform u per sample, in one call,
     from stream_id base + i and takes t = 1 - (1 - u)^(1/(n-1)), computed
-    as -expm1(log1p(-u) / (n - 1)); no state vector is built.
-    ``threads`` caps the worker threads, which are also at most one per
-    shard and one per CPU this process may run on; the result does not
-    depend on it.
+    as -expm1(log1p(-u) / (n - 1)); no state vector is built.  The shards
+    run in order in the calling thread, and their summaries are combined
+    in a fixed pairwise tree.
     """
     n = _checks.integer(n, "dimension n", 2)
     epsilon = _checks.real(epsilon, "epsilon", 0.0, 1.0, EpsilonOutOfRangeError)
     samples = _checks.integer(samples, "samples", 1000)
-    threads = _checks.integer(threads, "threads", 1)
     if sampler is None:
         sampler = HaarSampler(n, 0)
     if sampler.dim != n:
@@ -151,14 +144,7 @@ def mc_min_power_estimate(
         np.square(vals, out=vals)
         return (len(vals), mean, float(vals.sum()))
 
-    if hasattr(os, "sched_getaffinity"):  # honours taskset and cpusets
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(threads, len(shard_counts), cpus)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        summaries = list(pool.map(run_shard, range(len(shard_counts))))
-
+    summaries = [run_shard(i) for i in range(len(shard_counts))]
     total, mean, sq = _tree_reduce(summaries)
     estimate = math.log(n) - n * mean
     std_error = n * math.sqrt(sq / (total - 1) / total)

@@ -78,10 +78,6 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         (lambda: OptimizerConfig(seed=-1), ValidationError),
         (lambda: HaarSampler(2.5, 0), ValidationError),
         (lambda: mc_min_power_estimate(2.5, 0.5, 1000), ValidationError),
-        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads="a"), ValidationError),
-        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=0), ValidationError),
-        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=-1), ValidationError),
-        (lambda: mc_min_power_estimate(2, 0.5, 1000, threads=2.5), ValidationError),
         (lambda: harmonic_tail(True), InvalidKError),
         (lambda: depolarized_scrooge_povm(2, 0.5, 4.5, 0), CountTooSmallError),
         (lambda: depolarized_haar_ensemble(1, 0.5, 3), ValidationError),
@@ -119,8 +115,7 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=100)
         "spectrum-str", "joint-str", "shannon-str", "ensemble-str-weight",
         "purity-str", "epsilon-str", "renyi-nan-alpha", "extremal-nan-alpha",
         "tol-nan", "sampler-negative-seed", "config-negative-seed",
-        "sampler-float-dim", "mc-float-dim", "mc-str-threads", "mc-zero-threads",
-        "mc-negative-threads", "mc-float-threads", "k-bool", "count-float",
+        "sampler-float-dim", "mc-float-dim", "k-bool", "count-float",
         "haar-ensemble-dim-1", "purity-eps-above-1", "purity-eps-below-range",
         "purity-float-dim", "purity-dim-1", "purity-nan-eps", "purity-str-eps",
         "e2-str", "ensemble-not-pairs", "povm-not-iterable",

@@ -1,5 +1,5 @@
 import math
-import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -74,58 +74,6 @@ class TestMcEstimate:
         b = mc_min_power_estimate(2, 0.8, 50_000, HaarSampler(2, 3))
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    def test_worker_count_invariance(self):
-        values = {
-            mc_min_power_estimate(2, 1.0, 60_000, HaarSampler(2, 3), threads=k).mean
-            for k in (1, 2, 3, 5)
-        }
-        assert len(values) == 1
-
-    @staticmethod
-    def _record_workers(monkeypatch):
-        requested = []
-
-        class Recording(montecarlo.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-        return requested
-
-    def _estimate(self, threads):
-        samples = 3 * montecarlo.SHARD_SIZE
-        return mc_min_power_estimate(2, 0.6, samples, HaarSampler(2, 4), threads=threads)
-
-    def test_threads_is_a_cap(self, monkeypatch):
-        # at most one worker per shard and per usable CPU, whatever is asked for
-        requested = self._record_workers(monkeypatch)
-        capped = self._estimate(10**6)
-        single = self._estimate(1)
-        usable = (
-            len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1
-        )
-        assert requested == [min(3, usable), 1]
-        assert capped.mean == single.mean
-
-    def test_cap_counts_usable_cpus(self, monkeypatch):
-        # a process pinned to one CPU (taskset, a cpuset) gets one worker
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        requested = self._record_workers(monkeypatch)
-        self._estimate(8)
-        assert requested == [1]
-
-    def test_cap_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        requested = self._record_workers(monkeypatch)
-        for cpus in (None, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            self._estimate(8)
-        assert requested == [1, 2]
-
     def test_three_sigma_consistency(self):
         analytic = min_informational_power(2, purity_for_epsilon(2, 0.7)).value
         bad = 0
@@ -189,16 +137,23 @@ class TestOverlapShard:
         assert fast.shape == (20_000,) and fast.min() >= 0.0 and fast.max() <= 1.0
         assert stats.ks_2samp(fast, ref).pvalue > 1e-3
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("calls", [1, 2])
     @pytest.mark.parametrize("n, eps, samples, seed, stream", ROWS)
-    def test_estimate_matches_uniform_oracle(self, n, eps, samples, seed, stream, threads):
+    def test_estimate_matches_uniform_oracle(
+        self, monkeypatch, n, eps, samples, seed, stream, calls
+    ):
+        # the shards run in order in the calling thread: starting one fails;
+        # a second call on a fresh sampler gives the same estimate again
+        def refuse(self):
+            raise AssertionError("the estimator started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         mean, std_error = mc_min_power_from_uniforms(n, eps, samples, seed, stream)
-        est = mc_min_power_estimate(
-            n, eps, samples, HaarSampler(n, seed, stream), threads=threads
-        )
-        assert est.samples == samples
-        assert abs(est.mean - mean) <= 1e-14
-        assert abs(est.std_error - std_error) <= 1e-14
+        for _ in range(calls):
+            est = mc_min_power_estimate(n, eps, samples, HaarSampler(n, seed, stream))
+            assert est.samples == samples
+            assert abs(est.mean - mean) <= 1e-14
+            assert abs(est.std_error - std_error) <= 1e-14
 
     @pytest.mark.parametrize("n, eps, samples, seed, stream", ROWS)
     def test_estimate_matches_full_state_kernel(self, n, eps, samples, seed, stream):
@@ -213,16 +168,12 @@ class TestOverlapShard:
 
         monkeypatch.setattr(HaarSampler, "states", refuse)
         samples = 2 * montecarlo.SHARD_SIZE + 5
-        values = {
-            mc_min_power_estimate(3, 0.5, samples, HaarSampler(3, 1), threads=k).mean
-            for k in (1, 2)
-        }
-        assert len(values) == 1
+        assert mc_min_power_estimate(3, 0.5, samples, HaarSampler(3, 1)).samples == samples
 
 
 # (mean, std_error) of mc_min_power_estimate(n, 0.5, 2 * SHARD_SIZE + 777,
-# HaarSampler(n, 20 + n)) as float.hex, recorded at 1 and 2 threads once
-# each shard drew one uniform per sample (the same bits at 3 and 5 threads)
+# HaarSampler(n, 20 + n)) as float.hex, recorded once each shard drew one
+# uniform per sample
 GOLDEN = {
     2: ("0x1.609035052e690p-5", "0x1.0206d3461df33p-11"),
     3: ("0x1.f21a6dff649e0p-5", "0x1.66b3cc00f9116p-12"),
@@ -236,32 +187,35 @@ GOLDEN = {
 
 class TestBlockedOverlaps:
     """Each shard draws its overlaps as one block of at most 2^14 uniforms;
-    the estimates keep their bits at every thread count and the working
-    set does not grow with n."""
+    the estimates keep their bits and the working set does not grow
+    with n."""
 
     @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_golden_estimates(self, n, threads):
-        est = mc_min_power_estimate(
-            n, 0.5, 2 * montecarlo.SHARD_SIZE + 777, HaarSampler(n, 20 + n), threads=threads
-        )
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_golden_estimates(self, n, calls):
+        # every call in a row, each on a fresh sampler, gives the GOLDEN bits:
+        # the estimator keeps no state from one call to the next
         mean, std_error = GOLDEN[n]
-        assert est.mean == float.fromhex(mean)
-        assert est.std_error == float.fromhex(std_error)
+        for _ in range(calls):
+            est = mc_min_power_estimate(
+                n, 0.5, 2 * montecarlo.SHARD_SIZE + 777, HaarSampler(n, 20 + n)
+            )
+            assert est.mean == float.fromhex(mean)
+            assert est.std_error == float.fromhex(std_error)
 
     @pytest.mark.parametrize("n", [2, 8, 32, 1024])
     def test_shard_working_set_does_not_grow_with_n(self, n):
         # one 16384-sample shard peaked at 1, 4 and 16 MiB at n = 2, 8 and
         # 32 when it drew 2n uniforms per sample in one array; with one
         # uniform per sample it peaks at 0.65 MiB at every n
-        mc_min_power_estimate(n, 0.5, 16384, threads=1)
+        mc_min_power_estimate(n, 0.5, 16384)
         outer = tracemalloc.is_tracing()
         if not outer:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            mc_min_power_estimate(n, 0.5, 16384, threads=1)
+            mc_min_power_estimate(n, 0.5, 16384)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not outer:

@@ -200,7 +200,8 @@ def test_shared_rules_have_one_home():
     # read H_k through the cached entropy._table record), file writes in
     # fileio.py, the probability rule in _checks.py, the curve kernels
     # behind tradeoff's public names (cli.py imports no private tradeoff
-    # name), and the package reads no environment variable
+    # name), and the package reads no environment variable and starts no
+    # thread (checked on the source: numpy itself imports threading)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -225,6 +226,14 @@ def test_shared_rules_have_one_home():
                     found.append(f"{where} {name} call")
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 found.append(f"{where} environment read")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [getattr(node, "module", None) or ""]
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules):
+                found.append(f"{where} thread import")
+            if _called(node, "sched_getaffinity") or _called(node, "cpu_count"):
+                found.append(f"{where} CPU count")
             if (
                 isinstance(node, ast.ImportFrom)
                 and path.name == "cli.py"
