@@ -393,41 +393,84 @@ def _newton_step(prior, d, channel, best):
 
     The free set is the support plus ``best``; a zero letter whose step
     is negative leaves it.  I(p) has gradient D_x - 1 and Hessian
-    -W diag(1/q) W^T (q = pW), so the step solves the KKT system
+    -W diag(1/q) W^T (q = pW), so the step s solves the KKT system
     [[H + mu I, 1], [1^T, 0]] with right-hand side d_F; mu is 1e-9 of the
     mean diagonal, because duplicated rows make H singular.  A free letter
     reaching an output of probability zero has unbounded curvature.
+
+    On m = 2 or 3 free letters, 94% of the steps of a (2, 64) Scrooge
+    POVM, the step is solved in its null-space form on Python floats:
+    s_m = -(s_1 + ... + s_{m-1}) leaves G y = r with
+    G_ij = h_ij - h_im - h_mj + h_mm + mu (1 + delta_ij) and
+    r_i = d_i - d_m, one division at m = 2 and a pivoted 2 x 2 elimination
+    at m = 3.  Only these two sizes are unrolled: 0.74 us at 3 letters,
+    against 9.1 us for a generic Python elimination and 14 us for
+    ``np.linalg.solve``.  From 4 letters the bordered LAPACK solve is kept
+    so that those steps keep their bits; a generic Python elimination
+    would gain little at 4 letters (12 us) and loses from 5 (18 us, and
+    55 against 23 us at 9).  The Schur complement a - lambda b, with a and
+    b two solves against H + mu I, is avoided: on near-duplicate rows a and
+    b cancel along the all-ones vector.
     """
     q = prior @ channel
     live = q > 0.0
-    dead = None if live.all() else ~live
-    free = prior > 0.0
-    free[best] = True
+    dead = None if np.count_nonzero(live) == live.size else ~live
+    # the free-set bookkeeping runs on Python lists, as in _prior_step
+    weights, dl = prior.tolist(), d.tolist()
+    free = [x for x, p in enumerate(weights) if p > 0.0 or x == best]
     while True:
-        idx = np.flatnonzero(free)
-        m = idx.size
+        m = len(free)
         if m < 2:
             return None
-        rows = channel[idx]
+        rows = channel.take(free, axis=0)
         if dead is not None and rows[:, dead].any():
             return None
         # the column gather's Fortran-ordered copy fixes the BLAS path of h
         rows = rows[:, live]
         h = (rows / q[live]) @ rows.T
-        kkt = np.ones((m + 1, m + 1))
-        kkt[:m, :m] = h
-        kkt.flat[: m * (m + 2) : m + 2] += 1e-9 * np.trace(h) / m
-        kkt[m, m] = 0.0
-        rhs = np.zeros(m + 1)
-        rhs[:m] = d[idx]
-        step = np.linalg.solve(kkt, rhs)[:m]
-        leave = (prior[idx] == 0.0) & (step < 0.0)
-        if not leave.any():
+        if m > 3:
+            kkt = np.ones((m + 1, m + 1))
+            kkt[:m, :m] = h
+            kkt.flat[: m * (m + 2) : m + 2] += 1e-9 * np.trace(h) / m
+            kkt[m, m] = 0.0
+            rhs = np.zeros(m + 1)
+            rhs[:m] = [dl[x] for x in free]
+            step = np.linalg.solve(kkt, rhs)[:m].tolist()
+        else:
+            step = _null_space_step(h.tolist(), [dl[x] for x in free])
+        leave = [x for x, s in zip(free, step) if s < 0.0 and weights[x] == 0.0]
+        if not leave:
             break
-        free[idx[leave]] = False
-    full = np.zeros_like(prior)
-    full[idx] = step
-    return full
+        free = [x for x in free if x not in leave]
+    full = [0.0] * len(weights)
+    for x, s in zip(free, step):
+        full[x] = s
+    return np.array(full)
+
+
+def _null_space_step(h, d):
+    # the Newton step on 2 or 3 free letters from the Hessian block h and
+    # the divergences d, as Python lists; see _newton_step
+    if len(h) == 2:
+        (h00, h01), (h10, h11) = h
+        mu = 1e-9 * (h00 + h11) / 2
+        y = (d[0] - d[1]) / (h00 - h01 - h10 + h11 + 2.0 * mu)
+        return [y, -y]
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h
+    mu = 1e-9 * (h00 + h11 + h22) / 3
+    g00 = h00 - h02 - h20 + h22 + 2.0 * mu
+    g01 = h01 - h02 - h21 + h22 + mu
+    g10 = h10 - h12 - h20 + h22 + mu
+    g11 = h11 - h12 - h21 + h22 + 2.0 * mu
+    r0, r1 = d[0] - d[2], d[1] - d[2]
+    # elimination with the larger first-column pivot: Cramer's rule left
+    # residuals of 1e-7 relative on channels with near-zero outputs
+    if abs(g10) > abs(g00):
+        g00, g01, r0, g10, g11, r1 = g10, g11, r1, g00, g01, r0
+    ratio = g10 / g00
+    y1 = (r1 - ratio * r0) / (g11 - ratio * g01)
+    y0 = (r0 - g01 * y1) / g00
+    return [y0, y1, -(y0 + y1)]
 
 
 def _prior_step(prior, value, d, channel, log_channel, target):

@@ -23,7 +23,8 @@ optimizer's channel and gradient, the see-saw's joint distribution and
 gradient and the symmetric-bound descent's overlaps and gradient; the two
 shared matmul kernels must agree with each of them to roundoff.  The
 Newton step is the power optimizer's earlier KKT solve, which the solver
-must match bit for bit.
+must match bit for bit where it still runs LAPACK (four or more free
+letters) and to 1e-12 where it solves two or three in closed form.
 The Monte Carlo has two references.  The uniform oracle redraws each
 shard's uniforms from a fresh Philox stream and maps them by the Beta(1,
 n - 1) inverse CDF written as a power, 1 - (1 - u)^(1/(n-1)); the

@@ -5,16 +5,24 @@ fixed channel ``channel[x, y] = p(y|x)`` with a certificate: the gap
 max_x D(W_x || pW) - I(p) bounds the capacity minus the returned value
 from above.  Closed-form capacities pin the value; the Blahut-Arimoto
 reference in ``_oracles`` is a floor the solver must always reach.  The
-Newton step as first written, also in ``_oracles``, must agree with every
-step of the solver bit for bit.  The solve is ``_prior_step`` repeated;
-``informational_power_opt`` runs the full solve only at the start and end
-of each restart and one step per kept state move in between.
+Newton step as first written, also in ``_oracles``, is the step's oracle:
+a step that LAPACK solves (four or more free letters) must equal it bit
+for bit, and a closed-form step (two or three) must make the same refusal,
+have the same support and lie within 1e-12 of it.  The one exception is
+the ``rank-deficient`` channel, whose free set is singular up to the
+regularisation: there a closed-form step the oracle misses by more than
+1e-12 must solve its KKT system to a backward-stable residual.  The solve is
+``_prior_step`` repeated; ``informational_power_opt`` runs the full solve
+only at the start and end of each restart and one step per kept state
+move in between.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infopurity import OptimizerConfig, depolarized_scrooge_povm, informational_power_opt
 from infopurity import infomeasures
@@ -22,6 +30,7 @@ from infopurity.infomeasures import (
     _LOG_FLOOR,
     _capacity_prior,
     _newton_step,
+    _null_space_step,
     _prior_step,
     _row_divergences,
 )
@@ -206,45 +215,85 @@ def _same(a, b):
     )
 
 
-def _assert_matches_reference(monkeypatch, channel, warm=None, tol=1e-9):
-    # every Newton step equals the reference's on the same input, and the
-    # solve equals a solve that runs on the reference throughout
+def _kkt_residual_ok(h, d, step):
+    # (H + mu I) s + lambda 1 = d_F, lambda the least-squares multiplier,
+    # to a residual <= 1e-12 (||H + mu I|| ||s|| + ||d_F||)
+    h, d, s = np.asarray(h), np.asarray(d), np.asarray(step)
+    kkt = h + 1e-9 * np.trace(h) / len(h) * np.eye(len(h))
+    multiplier = np.mean(d - kkt @ s)
+    residual = np.linalg.norm(kkt @ s + multiplier - d)
+    scale = np.linalg.norm(kkt, 2) * np.linalg.norm(s) + np.linalg.norm(d)
+    return residual <= 1e-12 * scale
+
+
+def _assert_matches_reference(monkeypatch, channel, warm=None, tol=1e-9, singular=False):
+    # every Newton step agrees with the reference's on the same input: bit
+    # for bit when LAPACK solved it, to 1e-12 with the same refusal and
+    # support when the closed form did (2.2e-14 measured on the random
+    # channels below).  ``singular`` marks a channel whose free set is
+    # singular up to mu: a closed-form step there may miss the oracle by
+    # more, but must then solve its own KKT system.  The solve stays within
+    # 1e-15 in value and 1e-14 in prior of a solve that runs on the
+    # reference throughout, with the same certificate.  Returns each
+    # step's kind
     channel = np.asarray(channel, dtype=float)
     warm = None if warm is None else np.asarray(warm, dtype=float)
-    calls = []
+    kinds, closed = [], []
+    null_space_step = infomeasures._null_space_step
+
+    def recorded(h, d):
+        closed.append((h, d, null_space_step(h, d)))
+        return closed[-1][2]
 
     def checked(prior, d, channel, best):
+        closed.clear()
         step = _newton_step(prior, d, channel, best)
-        assert _same(step, newton_step_reference(prior, d, channel, best))
-        calls.append(step is None)
+        ref = newton_step_reference(prior, d, channel, best)
+        if step is None or not closed:
+            assert _same(step, ref)
+            kinds.append("refused" if step is None else "lapack")
+        else:
+            assert ref is not None
+            assert np.array_equal(np.flatnonzero(step), np.flatnonzero(ref))
+            if np.abs(step - ref).max() <= 1e-12:
+                kinds.append("closed")
+            else:
+                # mu alone bounds such a step (8.3e7 on rank-deficient);
+                # a 60-digit solve puts both solves about 3e-8 relative off
+                assert singular and _kkt_residual_ok(*closed[-1])
+                kinds.append("closed-singular")
         return step
 
+    monkeypatch.setattr(infomeasures, "_null_space_step", recorded)
     monkeypatch.setattr(infomeasures, "_newton_step", checked)
     prior, value, certified = _capacity_prior(channel, tol, warm)
     monkeypatch.setattr(infomeasures, "_newton_step", newton_step_reference)
     ref_prior, ref_value, ref_certified = _capacity_prior(channel, tol, warm)
-    assert prior.tobytes() == ref_prior.tobytes()
-    assert (value, certified) == (ref_value, ref_certified)
-    return calls
+    assert np.abs(prior - ref_prior).max() <= 1e-14
+    assert abs(value - ref_value) <= 1e-15
+    assert certified == ref_certified
+    return kinds
 
 
 @pytest.mark.parametrize(
-    "channel, warm",
-    [pytest.param(p.values[0], None, id=p.id) for p in CLOSED_FORM]
-    + [pytest.param(p.values[0], p.values[1], id=p.id) for p in WARM],
+    "channel, warm, singular",
+    [pytest.param(p.values[0], None, p.id == "rank-deficient", id=p.id) for p in CLOSED_FORM]
+    + [pytest.param(p.values[0], p.values[1], False, id=p.id) for p in WARM],
 )
-def test_newton_step_matches_reference(monkeypatch, channel, warm):
-    _assert_matches_reference(monkeypatch, channel, warm)
+def test_newton_step_matches_reference(monkeypatch, channel, warm, singular):
+    kinds = _assert_matches_reference(monkeypatch, channel, warm, singular=singular)
+    # the exception is still needed there, and only there
+    assert ("closed-singular" in kinds) == singular
 
 
-@pytest.mark.parametrize("letters", [4, 9])
+@pytest.mark.parametrize("letters", [2, 3, 4, 9])
 def test_newton_step_matches_reference_on_random_channels(monkeypatch, letters):
     # 500 channels per alphabet size; some have an output only one letter
-    # reaches, and warm starts zero some letters (that one included).  At 64
-    # outputs the Hessian's BLAS path shows in the last bits: a C-ordered
-    # copy of the free rows fails here
+    # reaches, and warm starts zero some letters (that one included, unless
+    # it is the last one left).  At 64 outputs the Hessian's BLAS path
+    # shows in the last bits: a C-ordered copy of the free rows fails here
     rng = np.random.default_rng(letters)
-    calls = []
+    kinds = []
     for k in range(500):
         channel = rng.dirichlet(np.full(64, 0.5), size=letters)
         warm = None
@@ -254,11 +303,58 @@ def test_newton_step_matches_reference_on_random_channels(monkeypatch, letters):
         if k % 3 == 0:
             channel[1:, -1] = 0.0
             channel /= channel.sum(axis=1, keepdims=True)
-            if warm is not None:
+            if warm is not None and warm[1:].any():
                 warm[0] = 0.0
-        calls += _assert_matches_reference(monkeypatch, channel, warm)
-    # both branches ran: Newton steps and refusals
-    assert 0 < sum(calls) < len(calls)
+        kinds += _assert_matches_reference(monkeypatch, channel, warm)
+    # every branch the alphabet reaches ran; the optimal priors of 9 random
+    # letters keep 4 or more of them, so no step there is closed-form
+    reached = {
+        2: {"refused", "closed"},
+        3: {"refused", "closed"},
+        4: {"refused", "closed", "lapack"},
+        9: {"refused", "lapack"},
+    }
+    assert set(kinds) == reached[letters]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(2, 8),
+    st.sampled_from([0.02, 0.05, 0.5, 1.0]),
+    st.sampled_from(["random", "duplicated", "rank-deficient"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_null_space_step_solves_the_kkt_system(letters, outputs, alpha, rows, warm, seed):
+    # the closed form on the Hessian block _newton_step builds: the step
+    # sums to exactly zero, since its last entry is minus the sum of the
+    # others, and meets (H + mu I) s + lambda 1 = d_F, lambda the
+    # least-squares multiplier, to a backward-stable residual
+    rng = np.random.default_rng(seed)
+    channel = rng.dirichlet(np.full(outputs, alpha), size=letters)
+    if rows == "duplicated":
+        channel[-1] = channel[0]
+    elif rows == "rank-deficient":
+        # the last row mixes rows 0 and 1 (row 0 alone at two letters)
+        w = rng.uniform()
+        channel[-1] = w * channel[0] + (1.0 - w) * channel[1 % (letters - 1)]
+    prior = rng.dirichlet(np.ones(letters))
+    if warm:
+        # a zero letter stays free as the best one; its outputs may be
+        # nearly empty under the others, so its curvature is large
+        prior[rng.integers(letters)] = 0.0
+        prior = prior / prior.sum()
+    d, _ = _row_divergences(prior, channel, np.log(np.maximum(channel, _LOG_FLOOR)))
+    q = prior @ channel
+    live = q > 0.0
+    if (channel[:, ~live] > 0.0).any():
+        return  # _newton_step refuses: unbounded curvature
+    free = channel[:, live]
+    h = (free / q[live]) @ free.T
+    step = _null_space_step(h.tolist(), d.tolist())
+    assert sum(step) == 0.0
+    assert _kkt_residual_ok(h, d, step)
 
 
 # informational_power_opt on the first cycle of the seed-7 scrooge-power

@@ -10,6 +10,7 @@ streams visible, even when the optimum itself would still be reached.
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +196,39 @@ def _probability_rule(node) -> str | None:
     return None
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _numpy_private(node) -> bool:
+    # a private attribute taken from numpy (np.linalg._umath_linalg), or a
+    # private numpy module or name imported
+    if isinstance(node, ast.Attribute) and _private(node.attr):
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        return isinstance(root, ast.Name) and root.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        paths = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(
+        path.split(".")[0] == "numpy" and any(map(_private, path.split(".")))
+        for path in paths
+    )
+
+
 def test_shared_rules_have_one_home():
     # the log floor and the harmonic sums live in entropy.py (other modules
     # read H_k through the cached entropy._table record), file writes in
     # fileio.py, the probability rule in _checks.py, the curve kernels
     # behind tradeoff's public names (cli.py imports no private tradeoff
     # name), and the package reads no environment variable and starts no
-    # thread (checked on the source: numpy itself imports threading)
+    # thread (checked on the source: numpy itself imports threading).  The
+    # runtime is numpy-only: the package imports nothing but numpy, the
+    # standard library and itself, and takes nothing private from numpy
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -232,6 +259,14 @@ def test_shared_rules_have_one_home():
                 modules = [getattr(node, "module", None) or ""]
             if any(m.split(".")[0] in ("threading", "concurrent") for m in modules):
                 found.append(f"{where} thread import")
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.level == 0
+            ):
+                for m in modules:
+                    if m.split(".")[0] not in {"numpy", "infopurity", *sys.stdlib_module_names}:
+                        found.append(f"{where} import of {m}")
+            if _numpy_private(node):
+                found.append(f"{where} private numpy name")
             if _called(node, "sched_getaffinity") or _called(node, "cpu_count"):
                 found.append(f"{where} CPU count")
             if (
