@@ -54,7 +54,11 @@ def xlnx(x: float) -> float:
 
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p_k ln(p_k) of a probability vector, in nats."""
-    v = _checks.probabilities(p, "p", NotNormalizedError, ndim=None)
+    return _shannon(_checks.probabilities(p, "p", NotNormalizedError, ndim=None))
+
+
+def _shannon(v: np.ndarray) -> float:
+    # unchecked kernel of shannon_entropy: a 1-D array of non-negative floats
     nz = v[v > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -90,13 +94,21 @@ def mutual_information(joint) -> float:
 
 
 def _mutual_info(p: np.ndarray) -> np.ndarray:
-    # unvalidated kernel over the last two axes, shared with the see-saw's
-    # stacked inner loop; zero cells are masked before the log
+    # unvalidated kernel over the last two axes
+    return _mutual_info_terms(p)[0]
+
+
+def _mutual_info_terms(p: np.ndarray):
+    """The information of each joint over the last two axes of ``p``
+    (unvalidated: finite, non-negative), with the floored ``log p`` and
+    the column sums p_y it computed on the way, which the see-saw's
+    gradient reuses.  A zero cell adds 0 times a finite log; a cell below
+    the 1e-300 floor reads its log at the floor."""
     px = p.sum(axis=-1, keepdims=True)
-    py = p.sum(axis=-2, keepdims=True)
-    live = p > 0.0
-    logs = np.log(np.where(live, p, 1.0)) - np.log(np.maximum(px * py, _LOG_FLOOR))
-    return np.where(live, p * logs, 0.0).sum(axis=(-2, -1))
+    py = p.sum(axis=-2)
+    log_p = np.log(np.maximum(p, _LOG_FLOOR))
+    logs = log_p - np.log(np.maximum(px * py[..., None, :], _LOG_FLOOR))
+    return (p * logs).sum(axis=(-2, -1)), log_p, py
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -19,8 +19,14 @@ Every optimizer runs all of its restarts in lock-step through one
 backtracking ascent over stacked arrays (restart = leading axis): each
 restart keeps its own step and convergence state, so it takes exactly the
 trials it would take alone, while the linear algebra of one sweep runs
-once for the whole stack.  Each line search starts at step 1.0, below the
-working step of nearly every restart, and backtracks by 0.4 from there.
+once for the whole stack.  The stack keeps its height: a restart that is
+not searching (converged, infeasible, or already risen this sweep) rides
+along at step 0, its trial is discarded, and the optimizers' callbacks
+neither raise on such a row nor act on it alone.  Each line search starts
+at step 1.0, below the working step of nearly every restart, and
+backtracks by 0.4 from there.  The see-saw keeps the log of its joint and
+the column sums from each evaluation for the next gradient, and the Haar
+restart frames are drawn once per (dimension, seed, stream) and cached.
 The three optimizers read their operators A_k (the ensemble's states, the
 POVM's elements) through one kernel pair over vector stacks: the
 expectations <v| A_k |v> and the weighted action sum_k w_k A_k |v>.
@@ -38,6 +44,7 @@ of U when every state is diagonal in U, where the objective is concave in
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,8 +56,9 @@ from .entropy import (
     _LOG_FLOOR,
     _eta,
     _mutual_info,
+    _mutual_info_terms,
+    _shannon,
     mutual_information,
-    shannon_entropy,
     subentropy,
 )
 from .errors import (
@@ -136,6 +144,16 @@ class InfoResult:
     restarts: tuple = ()
 
 
+@functools.lru_cache(maxsize=64)
+def _haar_frame(n: int, seed: int, stream_id: int, count: int) -> np.ndarray:
+    """``HaarSampler(n, seed, stream_id).states(count)``, read-only and
+    cached: every call of an optimizer starts its Haar restarts from the
+    same frames of its seed."""
+    frame = HaarSampler(n, seed, stream_id=stream_id).states(count)
+    frame.setflags(write=False)
+    return frame
+
+
 def _spectral_difference(ensemble: Ensemble, entropy) -> float:
     # entropy(rho) - sum_x w_x entropy(sigma_x) over the cached spectra
     value = entropy(ensemble.average.spectrum)
@@ -173,11 +191,7 @@ def holevo_upper(ensemble: Ensemble) -> float:
 
     Attained exactly when the ensemble states pairwise commute.
     """
-    return max(_spectral_difference(ensemble, lambda s: shannon_entropy(s.clipped())), 0.0)
-
-
-def _take(parts, rows):
-    return tuple(part[rows] for part in parts)
+    return max(_spectral_difference(ensemble, lambda s: _shannon(s.clipped())), 0.0)
 
 
 def _ascend(value, state, direction, attempt, tol):
@@ -185,20 +199,25 @@ def _ascend(value, state, direction, attempt, tol):
     ("rows") in lock-step.
 
     ``value`` has shape (R,); ``state`` is a tuple of arrays with the row
-    as leading axis, updated in place.  A row starting at -inf never runs.
-    Each sweep takes ``move = direction(state)`` on the running rows and
-    tries ``attempt(state, move, step)`` on the rows still searching,
-    which returns their trial values (-inf if infeasible) and states.  Per
-    row, the first trial that raises the value is kept and grows the
-    row's step by 1.3 (up to 1e3); every other trial shrinks it by 0.4
-    (down to 1e-14).  Every row starts at step 1.0.  Three sweeps in a row
-    gaining less than ``tol`` stop a row as converged, so each row takes
-    exactly the trials it would take alone.  Returns per-row ``(value,
-    state, sweeps, converged, step)``; sweeps is 300 for an unconverged
-    row, 0 for an infeasible one.
+    as leading axis.  A row starting at -inf never runs.  Each sweep takes
+    ``move = direction(state)`` and tries ``attempt(state, move, step)``,
+    which returns trial values (-inf if infeasible) and trial states,
+    until no row is searching.  Per row, the first trial that raises the
+    value is kept and grows the row's step by 1.3 (up to 1e3); every other
+    trial shrinks it by 0.4 (down to 1e-14).  Every row starts at step
+    1.0.  Three sweeps in a row gaining less than ``tol`` stop a row as
+    converged, so each row takes exactly the trials it would take alone.
+    Returns per-row ``(value, state, sweeps, converged, step)``; sweeps is
+    300 for an unconverged row, 0 for an infeasible one.
+
+    The stack keeps its height: every call sees all R rows.  A row that
+    is not searching (converged, infeasible, or already risen this sweep)
+    is tried at step 0 and its trial is discarded, so the callbacks must
+    not raise on such a row and must have no per-row side effect for it.
+    When every row rose, the trial stack replaces the state; otherwise
+    the rows that rose are written into it in place.
     """
-    # the per-row bookkeeping runs on Python floats, as in a one-row loop:
-    # numpy only gathers the rows in play and writes back the rows that rose
+    # the per-row bookkeeping runs on Python floats, as in a one-row loop
     value = np.asarray(value, dtype=float).tolist()
     rows = len(value)
     step = [_FIRST_STEP] * rows
@@ -209,35 +228,38 @@ def _ascend(value, state, direction, attempt, tol):
     for sweep in range(1, _MAX_SWEEPS + 1):
         if not running:
             break
-        move = direction(state if len(running) == rows else _take(state, running))
-        gained = [0.0] * len(running)
-        search = [k for k, r in enumerate(running) if step[r] > 1e-14]  # positions in running
+        move = direction(state)
+        gained = [0.0] * rows
+        search = [r for r in running if step[r] > 1e-14]
         while search:
-            idx = [running[k] for k in search]
-            trial_value, trial = attempt(
-                state if len(idx) == rows else _take(state, idx),
-                move if len(search) == len(running) else _take(move, search),
-                np.array([step[r] for r in idx]),
-            )
+            trial_step = [0.0] * rows
+            for r in search:
+                trial_step[r] = step[r]
+            trial_value, trial = attempt(state, move, np.array(trial_step))
+            trial_value = trial_value.tolist()
             up, rest = [], []
-            for j, (k, r, v) in enumerate(zip(search, idx, trial_value.tolist())):
+            for r in search:
+                v = trial_value[r]
                 if v > value[r]:
-                    gained[k] = v - value[r]
+                    gained[r] = v - value[r]
                     value[r] = v
                     step[r] = min(step[r] * 1.3, 1e3)
-                    up.append(j)
+                    up.append(r)
                 else:
                     step[r] *= 0.4
                     if step[r] > 1e-14:
-                        rest.append(k)
-            if up:
-                hit = [idx[j] for j in up]
-                for part, new in zip(state, trial):
-                    part[hit] = new[up]
+                        rest.append(r)
+            if len(up) == rows:
+                state = trial
+            elif up:
+                rose = np.zeros(rows, dtype=bool)
+                rose[up] = True
+                for part, new in zip(state, trial):  # a masked copy: no gather
+                    np.copyto(part, new, where=rose.reshape(-1, *[1] * (part.ndim - 1)))
             search = rest
         still = []
-        for k, r in enumerate(running):
-            strikes[r] = strikes[r] + 1 if gained[k] < tol else 0
+        for r in running:
+            strikes[r] = strikes[r] + 1 if gained[r] < tol else 0
             if strikes[r] >= 3:
                 sweeps[r] = sweep
                 converged[r] = True
@@ -298,7 +320,9 @@ def _weighted_action(flat, weights, vecs):
 
 def _see_saw_accessible(rhos, weights, start_vecs, tol):
     """Every see-saw restart in lock-step from an ``(R, K, n)`` stack of
-    outcome vectors; returns ``_ascend``'s arrays with state ``(vecs, p)``."""
+    outcome vectors; returns ``_ascend``'s arrays with state ``(vecs,
+    log_p, py)``: the vectors, the floored log of the joint p and its
+    column sums, kept from the evaluation for the next gradient."""
     log_weights = np.log(np.maximum(weights, _LOG_FLOOR))[:, None]
     flat = rhos.reshape(len(rhos), -1)
 
@@ -306,16 +330,12 @@ def _see_saw_accessible(rhos, weights, start_vecs, tol):
         vecs, feasible = _symmetrize_vectors(vecs)
         # p[r, x, y] = <v_y| rho_x |v_y>, rho_x sub-normalized
         p = _expectations(flat, vecs).swapaxes(-1, -2)
-        return np.where(feasible, _mutual_info(p), -np.inf), (vecs, p)
+        info, log_p, py = _mutual_info_terms(p)
+        return np.where(feasible, info, -np.inf), (vecs, log_p, py)
 
     def direction(state):
-        vecs, p = state
-        py = p.sum(axis=1)
-        logs = (
-            np.log(np.maximum(p, _LOG_FLOOR))
-            - log_weights
-            - np.log(np.maximum(py, _LOG_FLOOR))[:, None, :]
-        )
+        vecs, log_p, py = state
+        logs = log_p - log_weights - np.log(np.maximum(py, _LOG_FLOOR))[:, None, :]
         return (_weighted_action(flat, logs.swapaxes(-1, -2), vecs),)
 
     def attempt(state, move, step):
@@ -335,10 +355,9 @@ def _see_saw_restarts(ensemble: Ensemble, avg_basis: np.ndarray, cfg: OptimizerC
     spectral = np.zeros((n * n, n), dtype=complex)
     spectral[:n] = avg_basis.T.conj()
     starts = np.stack([spectral] + [
-        HaarSampler(n, cfg.seed, stream_id=r).states(n * n)
-        for r in range(1, cfg.restarts)
+        _haar_frame(n, cfg.seed, r, n * n) for r in range(1, cfg.restarts)
     ])
-    value, (vecs, _), sweeps, converged, step = _see_saw_accessible(
+    value, (vecs, _, _), sweeps, converged, step = _see_saw_accessible(
         ensemble.sub_normalized(), ensemble.weights, starts, cfg.tol
     )
     row, iterations, records = _best_restart("spectral", value, sweeps, converged, step)
@@ -373,7 +392,7 @@ def accessible_info_opt(
         records = (RestartRecord("spectral", spectral_value, 0, True, _FIRST_STEP),)
     else:
         vecs, iterations, converged, records = _see_saw_restarts(ensemble, avg_basis, cfg)
-    povm = Povm([np.outer(v, v.conj()) for v in vecs])
+    povm = Povm(vecs[:, :, None] * vecs.conj()[:, None, :])
     value = mutual_information(born_joint(ensemble, povm))
     return InfoResult(value, povm, iterations, converged, records)
 
@@ -606,8 +625,8 @@ def _power_restart(povm_stack, states, tol):
         passed = value > fixed_value
         prior = prior.copy()
         # each kept move takes one iteration of the capacity solve, none
-        # when the solve is capped at zero
-        for r in np.flatnonzero(passed) if _PRIOR_ITERS else ():
+        # when the solve is capped at zero; rows tried at step 0 take none
+        for r in np.flatnonzero(passed & (step > 0.0)) if _PRIOR_ITERS else ():
             stepped = _prior_step(
                 prior[r], float(value[r]), d[r], channel[r], log_channel[r], target
             )
@@ -657,8 +676,7 @@ def informational_power_opt(povm: Povm, cfg: OptimizerConfig = OptimizerConfig()
         return np.array(vecs[:k_cand])
 
     starts = np.stack([eigenvector_candidates()] + [
-        HaarSampler(n, cfg.seed, stream_id=1000 + r).states(k_cand)
-        for r in range(1, cfg.restarts)
+        _haar_frame(n, cfg.seed, 1000 + r, k_cand) for r in range(1, cfg.restarts)
     ])
     value, (states, prior), sweeps, converged, step = _power_restart(
         stack, starts, cfg.tol
@@ -710,7 +728,7 @@ def _symmetric_descent(sigmas: np.ndarray, weights: np.ndarray, avg_basis: np.nd
     starts = np.concatenate([
         np.eye(n, dtype=complex),
         avg_basis.T,
-        HaarSampler(n, 0, stream_id=2000).states(_SYM_STARTS - 2 * n),
+        _haar_frame(n, 0, 2000, _SYM_STARTS - 2 * n),
     ])
     phi = (starts / np.linalg.norm(starts, axis=1, keepdims=True))[:, None, :]
     return _ascend(neg_objective(phi), (phi,), direction, attempt, 1e-9)[0].max()

@@ -162,6 +162,15 @@ class DensityOperator:
         self.op: HermitianOperator = op
         self.spectrum: Spectrum = Spectrum(evals, normalized=True)
 
+    @classmethod
+    def _checked(cls, op: HermitianOperator, evals: np.ndarray) -> DensityOperator:
+        # wraps an operator that has passed the constructor's checks, with
+        # its ascending eigenvalues
+        state = cls.__new__(cls)
+        state.op = op
+        state.spectrum = Spectrum(evals, normalized=True)
+        return state
+
     @property
     def matrix(self) -> np.ndarray:
         return self.op.matrix
@@ -196,10 +205,15 @@ class Ensemble:
     def __init__(self, items):
         items = _checks.items(items, "items", pairs=True)
         weights = _checks.probabilities([w for w, _ in items], "weights", floor=0.0)
-        pairs = [
-            (w, s if isinstance(s, DensityOperator) else DensityOperator(s))
-            for w, (_, s) in zip(weights.tolist(), items)
-        ]
+        states = [s for _, s in items]
+        raw = [k for k, s in enumerate(states) if not isinstance(s, DensityOperator)]
+        if raw:
+            # checked as one stack; if a state fails or they do not stack,
+            # one at a time, so the first failing state raises its own error
+            built = _density_stack([states[k] for k in raw])
+            for k, state in zip(raw, built or [DensityOperator(states[k]) for k in raw]):
+                states[k] = state
+        pairs = list(zip(weights.tolist(), states))
         dims = {s.dim for _, s in pairs}
         if len(dims) != 1:
             raise DimensionMismatchError(f"mixed dimensions {sorted(dims)} in ensemble")
@@ -232,6 +246,16 @@ def _square_stack(elements) -> np.ndarray | None:
     return stack if square and stack.size else None
 
 
+def _hermitian_parts(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the Hermitian parts of a (K, n, n) complex stack and, per matrix,
+    # whether HermitianOperator would reject it (non-finite or non-Hermitian)
+    flipped = stack.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite
+        dev = np.abs(stack - flipped).max(axis=(1, 2))
+        parts = (stack + flipped) / 2.0
+    return parts, ~np.isfinite(stack).all(axis=(1, 2)) | (dev > TOL_HERM)
+
+
 def _hermitian_stack(stack: np.ndarray, field: str | None = None) -> np.ndarray:
     """The Hermitian parts of a ``(K, n, n)`` complex stack (K, n >= 1),
     each matrix checked as ``HermitianOperator`` checks one, in one pass
@@ -241,10 +265,7 @@ def _hermitian_stack(stack: np.ndarray, field: str | None = None) -> np.ndarray:
     constructor's own error; with ``field`` the error becomes a
     ``ValidationError`` naming the element as ``field[k]``.
     """
-    flipped = stack.conj().swapaxes(1, 2)
-    with np.errstate(invalid="ignore"):  # inf - inf: caught as non-finite
-        dev = np.abs(stack - flipped).max(axis=(1, 2))
-    bad = ~np.isfinite(stack).all(axis=(1, 2)) | (dev > TOL_HERM)
+    parts, bad = _hermitian_parts(stack)
     if bad.any():
         k = int(np.argmax(bad))
         try:
@@ -253,7 +274,30 @@ def _hermitian_stack(stack: np.ndarray, field: str | None = None) -> np.ndarray:
             if field is None:
                 raise
             raise ValidationError(str(exc), field=f"{field}[{k}]") from exc
-    return _frozen((stack + flipped) / 2.0)
+    return _frozen(parts)
+
+
+def _density_stack(entries: list) -> list[DensityOperator] | None:
+    """``DensityOperator``s of equal-shape square ``entries``, checked as
+    the constructor checks each one but as one stack, with one stacked
+    ``eigvalsh``; None if they do not stack or any of them fails."""
+    stack = _square_stack(entries)
+    if stack is None:
+        return None
+    parts, bad = _hermitian_parts(stack)
+    bad |= ~(np.abs(np.trace(parts, axis1=1, axis2=2).real - 1.0) <= TOL_TRACE)
+    if bad.any():
+        return None
+    try:
+        evals = np.linalg.eigvalsh(parts)  # ascending
+    except np.linalg.LinAlgError:
+        return None
+    if (evals[:, 0] < -TOL_PSD).any():
+        return None
+    return [
+        DensityOperator._checked(HermitianOperator._checked(m), e)
+        for m, e in zip(_frozen(parts), evals)
+    ]
 
 
 class Povm:
@@ -267,9 +311,12 @@ class Povm:
     __slots__ = ("dim", "elements", "_stack")
 
     def __init__(self, elements):
+        operators = False
         if not isinstance(elements, np.ndarray):
             elements = _checks.items(elements, "elements")
-        stack = _square_stack(elements)
+            operators = all(isinstance(e, HermitianOperator) for e in elements)
+        # HermitianOperator elements never form an array: they skip the attempt
+        stack = None if operators else _square_stack(elements)
         if stack is not None:
             stack = _hermitian_stack(stack)
             ops = tuple(HermitianOperator._checked(m) for m in stack)

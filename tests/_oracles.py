@@ -22,7 +22,10 @@ optimizers' earlier forms of <v| A_k |v> and sum_k w_k A_k |v>: the power
 optimizer's channel and gradient, the see-saw's joint distribution and
 gradient and the symmetric-bound descent's overlaps and gradient; the two
 shared matmul kernels must agree with each of them to roundoff.  The
-Newton step is the power optimizer's earlier KKT solve, which the solver
+masked mutual-information kernel is the see-saw's form before it kept
+its logs: zero cells are masked out of the log and the sum, where the
+kernel now adds 0 times a finite log; the two must agree bit for bit but
+for the sign of an exact zero.  The Newton step is the power optimizer's earlier KKT solve, which the solver
 must match bit for bit where it still runs LAPACK (four or more free
 letters) and to 1e-12 where it solves two or three in closed form.
 The Monte Carlo has two references.  The uniform oracle redraws each
@@ -388,6 +391,16 @@ def descent_overlaps_einsum(sigmas, phi):
 def descent_gradient_einsum(sigmas, coef, phi):
     """sum_x coef[r, x] sigma_x |phi_r> by one einsum."""
     return np.einsum("rx,xij,rj->ri", coef, sigmas, phi)
+
+
+def mutual_info_masked(p: np.ndarray) -> np.ndarray:
+    """The information of each joint over the last two axes of ``p``,
+    with zero cells masked before the log."""
+    px = p.sum(axis=-1, keepdims=True)
+    py = p.sum(axis=-2, keepdims=True)
+    live = p > 0.0
+    logs = np.log(np.where(live, p, 1.0)) - np.log(np.maximum(px * py, 1e-300))
+    return np.where(live, p * logs, 0.0).sum(axis=(-2, -1))
 
 
 def newton_step_reference(prior, d, channel, best):

@@ -25,11 +25,21 @@ from infopurity import (
     von_neumann_entropy,
 )
 from infopurity import _checks, entropy
-from infopurity.entropy import _binomial_terms, _power_table, _powers, _subentropy, _table
+from infopurity.entropy import (
+    _LOG_FLOOR,
+    _binomial_terms,
+    _mutual_info,
+    _mutual_info_terms,
+    _power_table,
+    _powers,
+    _subentropy,
+    _table,
+)
 from infopurity.tradeoff import harmonic_tail
 from infopurity.operators import depolarize, purity
 
 from _oracles import (
+    mutual_info_masked,
     random_density_matrix,
     subentropy_depolarized_derivative_form,
     subentropy_divided_difference,
@@ -90,6 +100,39 @@ class TestMutualInformation:
             p = rng.dirichlet(np.ones(12)).reshape(3, 4)
             i = mutual_information(p)
             assert -1e-12 <= i <= min(math.log(3), math.log(4)) + 1e-12
+
+
+@st.composite
+def _joint_stacks(draw):
+    """(R, X, Y) stacks of joints with zero cells, zero rows and zero
+    columns, each normalized unless it is all zero; every other cell lies
+    far above the log floor."""
+    r, x, y = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    p = np.array(draw(st.lists(cell, min_size=r * x * y, max_size=r * x * y))).reshape(r, x, y)
+    p[:, draw(st.lists(st.integers(0, x - 1), max_size=x)), :] = 0.0
+    p[:, :, draw(st.lists(st.integers(0, y - 1), max_size=y))] = 0.0
+    total = p.sum(axis=(1, 2), keepdims=True)
+    return np.divide(p, total, out=p, where=total > 0.0)
+
+
+class TestMutualInfoTerms:
+    """The see-saw's kernel returns the masked kernel's information and
+    the floored logs and column sums its gradient once recomputed."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_joint_stacks(), st.booleans())
+    def test_matches_masked_kernel_bit_for_bit(self, p, swapped):
+        if swapped:  # the see-saw passes a transposed view
+            p = np.ascontiguousarray(p.swapaxes(1, 2)).swapaxes(1, 2)
+        info, log_p, py = _mutual_info_terms(p)
+        want = mutual_info_masked(p)
+        # only the sign of an exact zero may differ: adding +0.0 clears it
+        assert (info + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert _mutual_info(p).tobytes() == info.tobytes()
+        assert log_p.tobytes() == np.log(np.maximum(p, _LOG_FLOOR)).tobytes()
+        assert py.tobytes() == p.sum(axis=1).tobytes()
+        assert np.isfinite(log_p).all()
 
 
 class TestRelativeEntropy:

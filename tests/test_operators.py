@@ -7,6 +7,7 @@ from infopurity import (
     Ensemble,
     EpsilonOutOfRangeError,
     HermitianOperator,
+    InfopurityError,
     JointDistribution,
     NonHermitianError,
     Povm,
@@ -22,6 +23,14 @@ from infopurity import (
 )
 
 from _oracles import random_density_matrix, random_hermitian
+
+
+def _fails(entries) -> bool:
+    try:
+        DensityOperator(entries)
+    except InfopurityError:
+        return True
+    return False
 
 
 def basis_projector(n, k):
@@ -263,6 +272,56 @@ class TestQuantumTypes:
         with pytest.raises(ValidationError) as err:
             Povm([op, HermitianOperator(np.diag([1.5, 0.0])), np.diag([-1.0, 1.0])])
         assert err.value.field == "elements[2]"
+
+    def test_ensemble_stack_keeps_state_bits(self):
+        # raw states checked as one stack equal each state built alone, bit
+        # for bit; DensityOperator entries are kept as they are
+        rng = np.random.default_rng(9)
+        raw = [random_density_matrix(3, rng) for _ in range(5)]
+        raw[1] = raw[1] + 1e-12j * random_hermitian(3, rng)  # inside the tolerance
+        kept = DensityOperator(random_density_matrix(3, rng))
+        entries = raw[:2] + [kept] + raw[2:]
+        weights = rng.dirichlet(np.ones(len(entries)))
+        ens = Ensemble(list(zip(weights, entries)))
+        assert ens.states[2] is kept
+        for got, entry in zip(ens.states, entries):
+            want = entry if isinstance(entry, DensityOperator) else DensityOperator(entry)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.spectrum.values.tobytes() == want.spectrum.values.tobytes()
+            assert not got.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (np.diag([0.6, 0.6]), np.array([[0.5, 0.1], [0.0, 0.5]])),  # trace, non-Hermitian
+            (np.diag([1.5, -0.5]), np.diag([np.nan, 1.0])),  # not PSD, non-finite
+            (np.eye(2) / 2, np.diag([0.7, 0.7])),  # good, trace
+            (np.eye(2) / 2, np.diag([1.5, -0.5])),  # good, not PSD
+            (np.eye(2) / 2, np.ones((3, 2)) / 3),  # good, ragged and not square
+            (np.diag([0.6, 0.6]), np.eye(3) / 3),  # trace, ragged
+        ],
+        ids=["trace-then-hermitian", "psd-then-nan", "good-then-trace", "good-then-psd",
+             "not-square",
+             "trace-then-ragged"],
+    )
+    @pytest.mark.parametrize("mixed", [False, True], ids=["arrays", "with-operator"])
+    def test_ensemble_raises_first_failing_states_own_error(self, first, second, mixed):
+        # the first failing raw state raises what DensityOperator says of it
+        entries = [first, second]
+        if mixed:
+            entries.insert(1, DensityOperator(np.eye(2) / 2))
+        with pytest.raises(InfopurityError) as want:
+            DensityOperator(first if _fails(first) else second)
+        with pytest.raises(InfopurityError) as got:
+            Ensemble([(1.0 / len(entries), e) for e in entries])
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_ensemble_of_equal_states_in_two_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \[2, 3\]"):
+            Ensemble([(0.5, np.eye(2) / 2), (0.5, np.eye(3) / 3)])
+        with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \[2, 3\]"):
+            Ensemble([(0.5, DensityOperator(np.eye(3) / 3)), (0.5, np.eye(2) / 2)])
 
     @pytest.mark.parametrize(
         "build",
